@@ -1,6 +1,6 @@
 """External-evaluator handles: judges, embeddings, difficulty verifier, cache."""
 
-from .cache import DecodingParams, DiskCache, MemoryCache, cache_key, prompt_digest
+from .cache import Cache, DecodingParams, DiskCache, MemoryCache, cache_key, prompt_digest
 from .difficulty import (
     FixtureVerifierBackend,
     HttpVerifierBackend,
@@ -19,8 +19,6 @@ from .judges import (
     HttpJudgeBackend,
     JudgeBackend,
     JudgeParseError,
-    ProtocolError,
-    TransportError,
     judge_generate,
 )
 from .parsers import (
@@ -33,10 +31,12 @@ from .parsers import (
     parse_verdict,
 )
 from .templates import TemplateId, TEMPLATES, render_prompt, template_slots
+from .transport import ProtocolError, TransportError
 
 __all__ = [
     "ATOMICITY_KEYS",
     "AtomicityChecklist",
+    "Cache",
     "DecodingParams",
     "DiskCache",
     "EmbeddingBackend",

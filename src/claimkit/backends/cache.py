@@ -14,6 +14,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Protocol
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,21 @@ def prompt_digest(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
+class Cache(Protocol):
+    """A response store shared by the stages, rewards and backends.
+
+    `put` stores a record under a key unless one is already there, and
+    returns the stored record (first writer wins); `get` returns it, or None.
+    """
+
+    def get(self, key: str) -> dict | None: ...
+
+    def put(self, key: str, record: dict) -> dict: ...
+
+
 class DiskCache:
+    # `get` and `put` stay defined on this class itself: perfbench/tracing.py
+    # wraps them by looking them up in the class __dict__.
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
@@ -88,10 +103,10 @@ class DiskCache:
         return stored
 
 
-class MemoryCache(DiskCache):
-    """Dict-backed stand-in with the same get/put contract; handy in tests."""
+class MemoryCache:
+    """Dict-backed `Cache`, for tests and in-process library use."""
 
-    def __init__(self):  # noqa: super not called on purpose
+    def __init__(self):
         self._store: dict[str, dict] = {}
 
     def get(self, key: str) -> dict | None:

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Protocol
 
 from ..corpus import ClaimRecord, Label
-from .cache import DiskCache, cache_key
-from .judges import TransportError, ProtocolError
+from .cache import Cache, cache_key
+from .transport import FixtureBackend, HttpBackend
 
 
 class VerifierBackend(Protocol):
@@ -17,62 +15,26 @@ class VerifierBackend(Protocol):
     def probability_supported(self, claim: str, evidence: list[str]) -> float: ...
 
 
-class HttpVerifierBackend:
+class HttpVerifierBackend(HttpBackend):
     """POST {claim, evidence} -> {p_supported}."""
 
-    def __init__(self, endpoint: str, backend_id: str | None = None, timeout: float = 120.0):
-        self.endpoint = endpoint
-        self.backend_id = backend_id or f"http:{endpoint}"
-        self.timeout = timeout
-
     def probability_supported(self, claim: str, evidence: list[str]) -> float:
-        import requests
-
-        try:
-            resp = requests.post(
-                self.endpoint, json={"claim": claim, "evidence": evidence},
-                timeout=self.timeout,
-            )
-        except requests.RequestException as exc:
-            raise TransportError(f"verifier endpoint unreachable: {exc}") from exc
-        if resp.status_code != 200:
-            raise ProtocolError(f"unexpected status {resp.status_code}")
-        try:
-            payload = resp.json()
-        except ValueError as exc:
-            raise ProtocolError("non-JSON reply body") from exc
-        if "p_supported" not in payload:
-            raise ProtocolError("reply missing 'p_supported' field")
-        return float(payload["p_supported"])
+        return float(self._post({"claim": claim, "evidence": evidence}, "p_supported"))
 
 
-class FixtureVerifierBackend:
+class FixtureVerifierBackend(FixtureBackend):
     """Replays P(Supported) by claim digest from a JSONL of {digest, p_supported}."""
 
-    def __init__(self, path: str | Path, backend_id: str | None = None):
-        from .cache import prompt_digest
-
-        self.backend_id = backend_id or f"fixture:{Path(path).name}"
-        self._digest = prompt_digest
-        self._probs: dict[str, float] = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                obj = json.loads(line)
-                self._probs[obj["digest"]] = float(obj["p_supported"])
+    FIELD = "p_supported"
 
     def probability_supported(self, claim: str, evidence: list[str]) -> float:
-        digest = self._digest(claim)
-        if digest not in self._probs:
-            raise TransportError(f"no fixture probability for claim digest {digest}")
-        return self._probs[digest]
+        return float(self._lookup(claim))
 
 
 def difficulty_score(
     record: ClaimRecord,
     verifier: VerifierBackend,
-    cache: DiskCache | None = None,
+    cache: Cache | None = None,
 ) -> float:
     """Label-aligned confidence: the verifier's probability on the gold label."""
     if record.label is None:

@@ -7,14 +7,12 @@ batch coalesce into a single backend call.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Protocol, Sequence
 
 import numpy as np
 
-from .cache import DiskCache, cache_key
-from .judges import TransportError, ProtocolError
+from .cache import Cache, cache_key
+from .transport import FixtureBackend, HttpBackend, ProtocolError
 
 
 class EmbeddingBackend(Protocol):
@@ -23,57 +21,23 @@ class EmbeddingBackend(Protocol):
     def embed_texts(self, texts: list[str]) -> list[list[float]]: ...
 
 
-class HttpEmbeddingBackend:
+class HttpEmbeddingBackend(HttpBackend):
     """POST {texts: [str]} -> {vectors: [[f64]]}."""
 
-    def __init__(self, endpoint: str, backend_id: str | None = None, timeout: float = 120.0):
-        self.endpoint = endpoint
-        self.backend_id = backend_id or f"http:{endpoint}"
-        self.timeout = timeout
-
     def embed_texts(self, texts: list[str]) -> list[list[float]]:
-        import requests
-
-        try:
-            resp = requests.post(self.endpoint, json={"texts": texts}, timeout=self.timeout)
-        except requests.RequestException as exc:
-            raise TransportError(f"embedding endpoint unreachable: {exc}") from exc
-        if resp.status_code != 200:
-            raise ProtocolError(f"unexpected status {resp.status_code}")
-        try:
-            payload = resp.json()
-        except ValueError as exc:
-            raise ProtocolError("non-JSON reply body") from exc
-        vectors = payload.get("vectors")
+        vectors = self._post({"texts": texts}, "vectors")
         if not isinstance(vectors, list) or len(vectors) != len(texts):
             raise ProtocolError("reply missing aligned 'vectors' field")
         return vectors
 
 
-class FixtureEmbeddingBackend:
+class FixtureEmbeddingBackend(FixtureBackend):
     """Replays vectors from a JSONL file of {digest, vector} rows (digest = sha256 of text)."""
 
-    def __init__(self, path: str | Path, backend_id: str | None = None):
-        from .cache import prompt_digest  # same digest convention as judge fixtures
-
-        self.backend_id = backend_id or f"fixture:{Path(path).name}"
-        self._digest = prompt_digest
-        self._vectors: dict[str, list[float]] = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                obj = json.loads(line)
-                self._vectors[obj["digest"]] = obj["vector"]
+    FIELD = "vector"
 
     def embed_texts(self, texts: list[str]) -> list[list[float]]:
-        out = []
-        for text in texts:
-            digest = self._digest(text)
-            if digest not in self._vectors:
-                raise TransportError(f"no fixture vector for text digest {digest}")
-            out.append(self._vectors[digest])
-        return out
+        return [self._lookup(text) for text in texts]
 
 
 def _normalize(vector: Sequence[float]) -> np.ndarray:
@@ -84,22 +48,20 @@ def _normalize(vector: Sequence[float]) -> np.ndarray:
     return arr / norm
 
 
-def embed(texts: list[str], backend: EmbeddingBackend, cache: DiskCache) -> np.ndarray:
+def embed(texts: list[str], backend: EmbeddingBackend, cache: Cache) -> np.ndarray:
     """Embed a batch, returning an (n, d) array of unit-norm rows in input order."""
     keys = [cache_key("embedding", text, backend.backend_id) for text in texts]
     vectors: dict[str, list[float]] = {}
-    missing_texts: list[str] = []
-    missing_keys: list[str] = []
+    missing: dict[str, str] = {}  # cache key -> text, in first-seen order
     for text, key in zip(texts, keys):
         hit = cache.get(key)
         if hit is not None:
             vectors[key] = hit["vector"]
-        elif key not in missing_keys:
-            missing_keys.append(key)
-            missing_texts.append(text)
-    if missing_texts:
-        fresh = backend.embed_texts(missing_texts)
-        for key, text, vec in zip(missing_keys, missing_texts, fresh):
+        else:
+            missing.setdefault(key, text)
+    if missing:
+        fresh = backend.embed_texts(list(missing.values()))
+        for key, vec in zip(missing, fresh):
             stored = cache.put(key, {"backend_id": backend.backend_id, "vector": list(vec)})
             vectors[key] = stored["vector"]
     rows = [_normalize(vectors[key]) for key in keys]

@@ -7,19 +7,10 @@ map that onto any model server.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Protocol
 
-from .cache import DecodingParams, DiskCache, cache_key, prompt_digest
-
-
-class TransportError(RuntimeError):
-    """Backend unreachable or no canned response available."""
-
-
-class ProtocolError(RuntimeError):
-    """Backend replied, but not in the agreed wire format."""
+from .cache import Cache, DecodingParams, cache_key, prompt_digest
+from .transport import FixtureBackend, HttpBackend
 
 
 class JudgeParseError(ValueError):
@@ -32,75 +23,35 @@ class JudgeBackend(Protocol):
     def generate(self, prompt: str, params: DecodingParams) -> str: ...
 
 
-class HttpJudgeBackend:
-    def __init__(self, endpoint: str, backend_id: str | None = None, retries: int = 2,
-                 timeout: float = 120.0):
-        self.endpoint = endpoint
-        self.backend_id = backend_id or f"http:{endpoint}"
-        self.retries = retries
-        self.timeout = timeout
+class HttpJudgeBackend(HttpBackend):
+    """POST {prompt, temperature, seed, max_tokens} -> {text}."""
 
+    # `generate` is defined on this class itself, not inherited:
+    # perfbench/tracing.py wraps it by looking it up in the class __dict__.
     def generate(self, prompt: str, params: DecodingParams) -> str:
-        import requests
-
-        body = {
+        return self._post({
             "prompt": prompt,
             "temperature": params.temperature,
             "seed": params.seed,
             "max_tokens": params.max_tokens,
-        }
-        last_exc: Exception | None = None
-        for _ in range(self.retries + 1):
-            try:
-                resp = requests.post(self.endpoint, json=body, timeout=self.timeout)
-            except requests.RequestException as exc:
-                last_exc = exc
-                continue
-            if resp.status_code >= 500:
-                last_exc = TransportError(f"server error {resp.status_code}")
-                continue
-            if resp.status_code != 200:
-                raise ProtocolError(f"unexpected status {resp.status_code}")
-            try:
-                payload = resp.json()
-            except ValueError as exc:
-                raise ProtocolError("non-JSON reply body") from exc
-            if not isinstance(payload, dict) or "text" not in payload:
-                raise ProtocolError("reply missing 'text' field")
-            return payload["text"]
-        raise TransportError(f"judge endpoint unreachable: {last_exc}")
+        }, "text")
 
 
-class FixtureJudgeBackend:
-    """Replays canned responses from a JSONL file of {digest, response} rows.
+class FixtureJudgeBackend(FixtureBackend):
+    """Replays canned responses from a JSONL file of {digest, response} rows,
+    keyed by the digest of the rendered prompt."""
 
-    Digest is SHA-256 of the rendered prompt. A missing digest is treated as
-    an unreachable backend so records are never silently passed.
-    """
-
-    def __init__(self, path: str | Path, backend_id: str | None = None):
-        self.backend_id = backend_id or f"fixture:{Path(path).name}"
-        self._responses: dict[str, str] = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                obj = json.loads(line)
-                self._responses[obj["digest"]] = obj["response"]
+    FIELD = "response"
 
     def generate(self, prompt: str, params: DecodingParams) -> str:
-        digest = prompt_digest(prompt)
-        try:
-            return self._responses[digest]
-        except KeyError:
-            raise TransportError(f"no fixture response for prompt digest {digest}") from None
+        return self._lookup(prompt)
 
 
 def judge_generate(
     backend: JudgeBackend,
     prompt: str,
     params: DecodingParams,
-    cache: DiskCache,
+    cache: Cache,
     template_id: str = "judge",
 ) -> str:
     """Cached single-turn generation: hit -> stored text, miss -> one backend call."""

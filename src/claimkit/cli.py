@@ -21,18 +21,18 @@ from .funnel import (
     FunnelReport,
     MinHasher,
     StageError,
-    allocate_budgets,
-    alt_select,
     atomic_write_text,
     decontaminate,
     dedup_minhash,
     dedup_semantic,
-    lazy_greedy,
     make_pmap,
     run_funnel,
+    select_stratified,
     stage_seed,
 )
-from .backends import embed
+# Unused here, but perfbench/tracing.py wraps these module-level names.
+from .backends import embed  # noqa: F401
+from .funnel import allocate_budgets, lazy_greedy  # noqa: F401
 from .metrics import balanced_accuracy, stage_report_render
 from .rewards import (
     Labeled,
@@ -79,6 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--report", required=True)
     _add_common(p_run)
+    p_run.set_defaults(seed=None, cache_dir=None)  # the config's values apply unless given
 
     p_rep = fsub.add_parser("report", help="render a funnel report")
     p_rep.add_argument("--report", required=True)
@@ -152,9 +153,10 @@ def _write_claims_atomic(records, path) -> None:
 
 def _cmd_funnel_run(args) -> int:
     config = FunnelConfig.from_json_file(args.config)
-    if args.seed:
+    if args.seed is not None:
         config.seed = args.seed
-    config.cache_dir = args.cache_dir
+    if args.cache_dir is not None:
+        config.cache_dir = args.cache_dir
     if args.dry_run:
         for path in list(config.inputs) + list(config.holdouts):
             ingest_claims(path)
@@ -209,27 +211,9 @@ def _cmd_select(args) -> int:
     if args.dry_run:
         print(f"dry-run ok: {len(records)} records parsed")
         return 0
-    cache = DiskCache(args.cache_dir)
-    backend = build_embedding_backend(args.embedding)
-    budget = allocate_budgets(records, args.budget)
-    by_cell: dict[tuple, list[ClaimRecord]] = {}
-    for rec in records:
-        by_cell.setdefault((rec.label, rec.source), []).append(rec)
-    by_id = {rec.id: rec for rec in records}
-    chosen_ids: list[str] = []
-    for cell in sorted(by_cell, key=lambda c: (c[0].value, c[1])):
-        k = budget.for_cell(*cell)
-        if k == 0:
-            continue
-        members = by_cell[cell]
-        X = embed([r.claim for r in members], backend, cache)
-        ids = [r.id for r in members]
-        if args.strategy == "facility_location":
-            chosen_ids.extend(lazy_greedy(X, k, ids))
-        else:
-            seed = stage_seed(args.seed, f"select:{cell[0].value}:{cell[1]}")
-            chosen_ids.extend(alt_select(X, k, args.strategy, seed, ids))
-    selected = [by_id[i] for i in chosen_ids]
+    selected = select_stratified(records, args.budget, args.strategy, args.seed,
+                                 build_embedding_backend(args.embedding),
+                                 DiskCache(args.cache_dir))
     _write_claims_atomic(selected, args.out)
     print(f"selected {len(selected)} of {len(records)} records")
     return 0

@@ -16,6 +16,7 @@ from .run import (
     atomic_write_text,
     make_pmap,
     run_funnel,
+    select_stratified,
     stage_seed,
 )
 from .select import alt_select, facility_location_value, lazy_greedy, naive_greedy
@@ -33,7 +34,6 @@ from .stages import (
     long_evidence_augment,
     rule_filter,
     silver_decompose,
-    silver_filter,
     silver_stage,
 )
 
@@ -65,9 +65,9 @@ __all__ = [
     "naive_greedy",
     "rule_filter",
     "run_funnel",
+    "select_stratified",
     "shingle_set",
     "silver_decompose",
-    "silver_filter",
     "silver_stage",
     "stage_seed",
 ]

@@ -13,9 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ..backends import DiskCache, EmbeddingBackend, embed
+from ..backends import Cache, EmbeddingBackend, embed
 from ..corpus import ClaimRecord
-from .shingling import MinHasher, estimate_jaccard, exact_jaccard, shingle_set
+from .shingling import MinHasher, exact_jaccard, shingle_set
 
 JACCARD_THRESHOLD = 0.7
 SEMANTIC_THRESHOLD = 0.70
@@ -46,7 +46,6 @@ def dedup_minhash(
     kept: list[ClaimRecord] = []
     removed: list[tuple[ClaimRecord, str]] = []
     buckets: dict[tuple[int, bytes], list[int]] = {}
-    kept_idx: list[int] = []
     for i, rec in enumerate(records):
         keys = _band_keys(signatures[i])
         candidates: set[int] = set()
@@ -61,7 +60,6 @@ def dedup_minhash(
             removed.append((rec, f"near-duplicate-of:{duplicate_of}"))
             continue
         kept.append(rec)
-        kept_idx.append(i)
         for key in keys:
             buckets.setdefault(key, []).append(i)
     return kept, removed
@@ -70,7 +68,7 @@ def dedup_minhash(
 def dedup_semantic(
     records: Sequence[ClaimRecord],
     backend: EmbeddingBackend,
-    cache: DiskCache,
+    cache: Cache,
     threshold: float = SEMANTIC_THRESHOLD,
 ) -> tuple[list[ClaimRecord], list[tuple[ClaimRecord, str]]]:
     """Greedy single pass: drop a record iff its claim embedding has cosine
@@ -97,7 +95,7 @@ def decontaminate(
     train: Sequence[ClaimRecord],
     holdout: Sequence[ClaimRecord],
     backend: EmbeddingBackend,
-    cache: DiskCache,
+    cache: Cache,
     jaccard_threshold: float = JACCARD_THRESHOLD,
     cosine_threshold: float = DECONTAM_COSINE_THRESHOLD,
 ) -> tuple[list[ClaimRecord], list[tuple[ClaimRecord, str]]]:

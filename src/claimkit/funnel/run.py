@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-from ..backends import DecodingParams, DiskCache, embed
+from ..backends import Cache, DecodingParams, DiskCache, EmbeddingBackend, embed
 from ..corpus import ClaimRecord, IngestError, ingest_claims
 from ..wiring import (
     build_embedding_backend,
@@ -131,22 +131,16 @@ class FunnelConfig:
     def from_json_file(cls, path: str | Path) -> "FunnelConfig":
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-        thresholds = RuleThresholds(**obj.get("thresholds", {}))
-        backends = {
-            "judge": "mock", "embedding": "mock", "verifier": "mock", "ner": "heuristic",
-        }
-        backends.update(obj.get("backends", {}))
+        optional = ("seed", "cache_dir", "selector", "max_tokens")
         cfg = cls(
             inputs=list(obj["inputs"]),
             holdouts=list(obj.get("holdouts", [])),
             budget=int(obj["budget"]),
-            seed=int(obj.get("seed", 0)),
-            cache_dir=obj.get("cache_dir", ".claimkit-cache"),
-            selector=obj.get("selector", "facility_location"),
-            thresholds=thresholds,
-            backends=backends,
-            max_tokens=int(obj.get("max_tokens", 4096)),
+            thresholds=RuleThresholds(**obj.get("thresholds", {})),
+            **{name: obj[name] for name in optional if name in obj},
         )
+        cfg.seed, cfg.max_tokens = int(cfg.seed), int(cfg.max_tokens)
+        cfg.backends.update(obj.get("backends", {}))
         if cfg.selector not in SELECTORS:
             raise ValueError(f"unknown selector {cfg.selector!r}")
         if not cfg.inputs:
@@ -204,31 +198,38 @@ def _load_inputs(paths: Sequence[str], what: str) -> list[ClaimRecord]:
     return records
 
 
-def _select_stage(
+def select_stratified(
     pool: list[ClaimRecord],
-    config: FunnelConfig,
-    embedding,
-    cache: DiskCache,
+    budget: int,
+    selector: str,
+    seed: int,
+    embedding: EmbeddingBackend,
+    cache: Cache,
 ) -> list[ClaimRecord]:
-    budget = allocate_budgets(pool, config.budget)
+    """Split the budget over (label, source) cells and pick each cell's share
+    with the selector; shared by the funnel's select stage and `claimkit select`.
+
+    It stays in this module: perfbench/tracing.py wraps the `lazy_greedy`,
+    `allocate_budgets` and `embed` names that it looks up here.
+    """
+    shares = allocate_budgets(pool, budget)
     by_cell: dict[tuple, list[ClaimRecord]] = {}
     for rec in pool:
         by_cell.setdefault((rec.label, rec.source), []).append(rec)
     by_id = {rec.id: rec for rec in pool}
     selected_ids: list[str] = []
     for cell in sorted(by_cell, key=lambda c: (c[0].value, c[1])):
-        k = budget.for_cell(*cell)
+        k = shares.for_cell(*cell)
         if k == 0:
             continue
         members = by_cell[cell]
         X = embed([rec.claim for rec in members], embedding, cache)
         ids = [rec.id for rec in members]
-        if config.selector == "facility_location":
+        if selector == "facility_location":
             chosen = lazy_greedy(X, k, ids)
         else:
-            chosen = alt_select(X, k, config.selector,
-                                stage_seed(config.seed, f"select:{cell[0].value}:{cell[1]}"),
-                                ids)
+            chosen = alt_select(X, k, selector,
+                                stage_seed(seed, f"select:{cell[0].value}:{cell[1]}"), ids)
         selected_ids.extend(chosen)
     return [by_id[i] for i in selected_ids]
 
@@ -285,7 +286,8 @@ def run_funnel(
     records = kept
 
     try:
-        selected = _select_stage(records, config, embedding, cache)
+        selected = select_stratified(records, config.budget, config.selector, config.seed,
+                                     embedding, cache)
     except ValueError as exc:
         raise StageError("select", str(exc)) from exc
     report.add("select", len(records), len(selected),

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..backends import (
+    Cache,
     DecodingParams,
-    DiskCache,
     JudgeBackend,
     JudgeParseError,
     TemplateId,
@@ -88,7 +88,7 @@ def rule_filter(
 def difficulty_filter(
     records: Sequence[ClaimRecord],
     verifier: VerifierBackend,
-    cache: DiskCache | None = None,
+    cache: Cache | None = None,
     band: tuple[float, float] = DIFFICULTY_BAND,
     pmap: Callable | None = None,
 ) -> tuple[list[ClaimRecord], list[tuple[ClaimRecord, str]]]:
@@ -112,7 +112,7 @@ def difficulty_filter(
 def silver_decompose(
     record: ClaimRecord,
     judge: JudgeBackend,
-    cache: DiskCache,
+    cache: Cache,
     params: DecodingParams | None = None,
 ) -> ClaimRecord:
     """Ask the generation backend for the minimal question decomposition and
@@ -128,15 +128,10 @@ def silver_decompose(
     return record.with_silver_count(len(questions))
 
 
-def silver_filter(records: Sequence[ClaimRecord]) -> list[ClaimRecord]:
-    """Keep records whose silver decomposition produced at least 2 questions."""
-    return [r for r in records if (r.silver_question_count or 0) >= 2]
-
-
 def silver_stage(
     records: Sequence[ClaimRecord],
     judge: JudgeBackend,
-    cache: DiskCache,
+    cache: Cache,
     params: DecodingParams | None = None,
     pmap: Callable | None = None,
 ) -> tuple[list[ClaimRecord], list[tuple[ClaimRecord, str]]]:

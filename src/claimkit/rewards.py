@@ -16,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .backends import (
+    Cache,
     DecodingParams,
-    DiskCache,
     EmbeddingBackend,
     JudgeBackend,
     JudgeParseError,
@@ -42,7 +42,7 @@ class RewardBackends:
 
     judge: JudgeBackend
     embedding: EmbeddingBackend
-    cache: DiskCache
+    cache: Cache
     params: DecodingParams = field(default_factory=DecodingParams)
 
 
@@ -120,7 +120,7 @@ def question_count_reward(n: int, n_star: int) -> float:
 def diversity_reward(
     questions: Sequence[str],
     backend: EmbeddingBackend,
-    cache: DiskCache,
+    cache: Cache,
 ) -> float:
     """Redundancy penalty: -(1/n) * sum_{i>=2} max_{j<i} cos(q_i, q_j).
 

@@ -1,10 +1,10 @@
 """Backend construction from config specs.
 
 A spec is a string: "mock", "heuristic" (entity counter), "fixture:<path>",
-or "http:<url>". Environment variables CLAIMKIT_JUDGE_ENDPOINT,
-CLAIMKIT_EMBEDDING_ENDPOINT, and CLAIMKIT_VERIFIER_ENDPOINT override the
-respective specs when set, so deployments can retarget without editing
-config files.
+or a full "http://..." or "https://..." URL. Environment variables
+CLAIMKIT_JUDGE_ENDPOINT, CLAIMKIT_EMBEDDING_ENDPOINT, and
+CLAIMKIT_VERIFIER_ENDPOINT override the respective specs when set, so
+deployments can retarget without editing config files.
 """
 
 from __future__ import annotations
@@ -48,31 +48,36 @@ def _resolve(kind: str, spec: str) -> tuple[str, str]:
     raise ValueError(f"unrecognized {kind} backend spec {spec!r}")
 
 
+# kind -> (mock, fixture, http) backend classes
+_BACKENDS = {
+    "judge": (HashJudgeBackend, FixtureJudgeBackend, HttpJudgeBackend),
+    "embedding": (HashEmbeddingBackend, FixtureEmbeddingBackend, HttpEmbeddingBackend),
+    "verifier": (HashVerifierBackend, FixtureVerifierBackend, HttpVerifierBackend),
+}
+
+
+def _build(kind: str, spec: str):
+    how, arg = _resolve(kind, spec)
+    mock, fixture, http = _BACKENDS[kind]
+    if how == "mock":
+        return mock()
+    if how == "fixture":
+        return fixture(arg)
+    if how == "http":
+        return http(arg)
+    raise ValueError(f"unsupported {kind} backend spec {spec!r}")
+
+
 def build_judge_backend(spec: str) -> JudgeBackend:
-    kind, arg = _resolve("judge", spec)
-    if kind == "mock":
-        return HashJudgeBackend()
-    if kind == "fixture":
-        return FixtureJudgeBackend(arg)
-    return HttpJudgeBackend(arg)
+    return _build("judge", spec)
 
 
 def build_embedding_backend(spec: str) -> EmbeddingBackend:
-    kind, arg = _resolve("embedding", spec)
-    if kind == "mock":
-        return HashEmbeddingBackend()
-    if kind == "fixture":
-        return FixtureEmbeddingBackend(arg)
-    return HttpEmbeddingBackend(arg)
+    return _build("embedding", spec)
 
 
 def build_verifier_backend(spec: str) -> VerifierBackend:
-    kind, arg = _resolve("verifier", spec)
-    if kind == "mock":
-        return HashVerifierBackend()
-    if kind == "fixture":
-        return FixtureVerifierBackend(arg)
-    return HttpVerifierBackend(arg)
+    return _build("verifier", spec)
 
 
 def build_entity_counter(spec: str) -> EntityCounter:

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import re
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
+import pytest
 
 ANSWERS_BLOCK = re.compile(r"<answers>\n(.*?)\n</answers>", re.DOTALL)
 QUESTION_BLOCK = re.compile(r"<question>\n(.*?)\n</question>", re.DOTALL)
@@ -77,3 +80,36 @@ class PlantedEmbedding:
 
     def embed_texts(self, texts):
         return [self.table[t].tolist() for t in texts]
+
+
+class _CannedHandler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        self.server.requests += 1
+        status, body = self.server.reply
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def loopback(monkeypatch):
+    """One-thread HTTP server on 127.0.0.1 that answers every POST with
+    `server.reply` (status, body bytes) and counts requests in `server.requests`."""
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    server = HTTPServer(("127.0.0.1", 0), _CannedHandler)
+    server.reply = (200, b"{}")
+    server.requests = 0
+    server.url = f"http://127.0.0.1:{server.server_port}/"
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()

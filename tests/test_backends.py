@@ -13,8 +13,12 @@ from claimkit.backends import (
     FixtureEmbeddingBackend,
     FixtureJudgeBackend,
     FixtureVerifierBackend,
+    HttpEmbeddingBackend,
+    HttpJudgeBackend,
+    HttpVerifierBackend,
     JudgeParseError,
     MemoryCache,
+    ProtocolError,
     TEMPLATES,
     TemplateId,
     ThreeWayVerdict,
@@ -119,6 +123,10 @@ class TestJudgePlumbing:
         assert backend.generate("hello", DecodingParams()) == "hi"
         with pytest.raises(TransportError):
             backend.generate("unknown prompt", DecodingParams())
+        with open(path, "a") as fh:
+            fh.write(json.dumps({"digest": prompt_digest("bye")}) + "\n")
+        with pytest.raises(ValueError, match="line 2"):
+            FixtureJudgeBackend(path)
 
     def test_judge_generate_caches(self, tmp_path):
         calls = []
@@ -196,6 +204,17 @@ class TestEmbeddings:
         assert np.allclose(X[0], X[2])  # duplicates coalesce
         assert cosine(X[0], X[0]) == pytest.approx(1.0)
 
+        sent = []
+
+        class Counting(HashEmbeddingBackend):
+            def embed_texts(self, texts):
+                sent.append(list(texts))
+                return super().embed_texts(texts)
+
+        embed(["gamma", "alpha", "delta", "gamma", "delta"], Counting(), cache)
+        # each distinct miss reaches the backend once, in first-seen order
+        assert sent == [["gamma", "delta"]]
+
     def test_fixture_embedding(self, tmp_path):
         path = tmp_path / "vec.jsonl"
         with open(path, "w") as fh:
@@ -247,3 +266,51 @@ class TestDifficulty:
         backend = HashVerifierBackend()
         rec = self._record(Label.SUPPORTED)
         assert difficulty_score(rec, backend, cache) == difficulty_score(rec, backend, cache)
+
+
+HTTP_BACKENDS = {
+    "judge": (HttpJudgeBackend, lambda b: b.generate("p", DecodingParams()), "text", "hi"),
+    "embedding": (HttpEmbeddingBackend, lambda b: b.embed_texts(["a"]), "vectors", [[1.0]]),
+    "verifier": (HttpVerifierBackend, lambda b: b.probability_supported("c", ["e"]),
+                 "p_supported", 0.25),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HTTP_BACKENDS))
+class TestHttpFaults:
+    """All three HTTP backends share one retry and reply-checking policy."""
+
+    def _call(self, kind, server):
+        cls, call, _, _ = HTTP_BACKENDS[kind]
+        return call(cls(server.url))
+
+    def test_reply_field_returned(self, kind, loopback):
+        _, _, field, value = HTTP_BACKENDS[kind]
+        loopback.reply = (200, json.dumps({field: value}).encode())
+        assert self._call(kind, loopback) == value
+        assert loopback.requests == 1
+
+    def test_5xx_retried_then_transport_error(self, kind, loopback):
+        loopback.reply = (503, b"{}")
+        with pytest.raises(TransportError):
+            self._call(kind, loopback)
+        assert loopback.requests == 3
+
+    def test_4xx_is_protocol_error_at_once(self, kind, loopback):
+        loopback.reply = (404, b"{}")
+        with pytest.raises(ProtocolError):
+            self._call(kind, loopback)
+        assert loopback.requests == 1
+
+    @pytest.mark.parametrize("body", [b"not json", b"[1, 2]", b'{"other": 1}'])
+    def test_malformed_reply_is_protocol_error(self, kind, loopback, body):
+        loopback.reply = (200, body)
+        with pytest.raises(ProtocolError):
+            self._call(kind, loopback)
+        assert loopback.requests == 1
+
+
+def test_misaligned_vectors_is_protocol_error(loopback):
+    loopback.reply = (200, b'{"vectors": [[1.0], [2.0]]}')
+    with pytest.raises(ProtocolError):
+        HttpEmbeddingBackend(loopback.url).embed_texts(["only one"])

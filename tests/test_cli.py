@@ -1,11 +1,16 @@
 """CLI dispatch: subcommands, exit codes, dry runs, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from claimkit.cli import dispatch
-from claimkit.corpus import Label, ingest_claims, write_claims
+from claimkit.corpus import ClaimRecord, Label, ingest_claims, write_claims
+from claimkit.funnel import FunnelReport
 from claimkit.synthetic import funnel_corpus, holdout_corpus
 
 VALID_TRACE = (
@@ -70,6 +75,33 @@ class TestFunnelCommands:
             outs.append((out.read_bytes(), report.read_bytes()))
         assert outs[0] == outs[1]
 
+    def test_config_cache_dir_used_unless_flag_given(self, tmp_path, funnel_config,
+                                                     monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["funnel", "run", "--config", str(funnel_config),
+                "--out", "out.jsonl", "--report", "report.json"]
+        assert dispatch(argv) == 0
+        assert any((tmp_path / "cache").iterdir())
+        assert not (tmp_path / ".claimkit-cache").exists()
+        assert dispatch(argv + ["--cache-dir", "flag-cache"]) == 0
+        assert any((tmp_path / "flag-cache").iterdir())
+
+    @pytest.mark.parametrize("flag, seed", [([], 3), (["--seed", "0"], 0), (["--seed", "5"], 5)])
+    def test_seed_flag_overrides_config(self, tmp_path, monkeypatch, flag, seed):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"inputs": ["unread.jsonl"], "budget": 1, "seed": 3}))
+        seen = []
+
+        def fake_run(config, workers):
+            seen.append(config.seed)
+            return [], FunnelReport()
+
+        monkeypatch.setattr("claimkit.cli.run_funnel", fake_run)
+        assert dispatch(["funnel", "run", "--config", str(cfg),
+                         "--out", str(tmp_path / "o.jsonl"),
+                         "--report", str(tmp_path / "r.json")] + flag) == 0
+        assert seen == [seed]
+
     def test_dry_run_touches_nothing(self, tmp_path, funnel_config):
         out = tmp_path / "out.jsonl"
         code = dispatch(["funnel", "run", "--config", str(funnel_config),
@@ -112,6 +144,17 @@ class TestStandaloneStages:
         assert len(selected) == 12
         supported = sum(1 for r in selected if r.label is Label.SUPPORTED)
         assert abs(supported - (len(selected) - supported)) <= 1
+
+    def test_select_malformed_embedding_reply(self, tmp_path, loopback, capsys):
+        claims = tmp_path / "claims.jsonl"
+        write_claims([ClaimRecord(id=f"c{i}", claim=f"claim {i}", evidence=["e"], source="s",
+                                  label=label) for i, label in enumerate(Label)], claims)
+        loopback.reply = (200, b"[]")
+        assert dispatch(["select", "--claims", str(claims), "--budget", "2",
+                         "--out", str(tmp_path / "sel.jsonl"), "--embedding", loopback.url,
+                         "--cache-dir", str(tmp_path / "c")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: backend:")
 
 
 class TestScoring:
@@ -186,6 +229,15 @@ class TestEval:
         claims, _ = corpus_files
         assert dispatch(["eval", "--preds", str(tmp_path / "nope.jsonl"),
                          "--gold", str(claims)]) == 1
+
+
+def test_cli_import_leaves_requests_unloaded():
+    # `requests` is imported on the first HTTP call; loading it with the CLI
+    # would add its import time to every command.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, claimkit.cli; sys.exit('requests' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
 
 class TestExitCodes:
