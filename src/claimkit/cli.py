@@ -19,7 +19,6 @@ from .corpus import ClaimRecord, IngestError, Label, ingest_claims
 from .funnel import (
     FunnelConfig,
     FunnelReport,
-    MinHasher,
     StageError,
     atomic_write_text,
     decontaminate,
@@ -28,7 +27,6 @@ from .funnel import (
     make_pmap,
     run_funnel,
     select_stratified,
-    stage_seed,
 )
 # Unused here, but perfbench/tracing.py wraps these module-level names.
 from .backends import embed  # noqa: F401
@@ -86,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--format", choices=("text", "json"), default="text")
     _add_common(p_rep)
 
-    p_dedup = sub.add_parser("dedup", help="MinHash + semantic near-duplicate removal")
+    p_dedup = sub.add_parser("dedup", help="shingle-Jaccard + semantic near-duplicate removal")
     p_dedup.add_argument("--claims", required=True)
     p_dedup.add_argument("--out", required=True)
     p_dedup.add_argument("--embedding", default="mock")
@@ -183,8 +181,7 @@ def _cmd_dedup(args) -> int:
         print(f"dry-run ok: {len(records)} records parsed")
         return 0
     cache = DiskCache(args.cache_dir)
-    hasher = MinHasher(seed=stage_seed(args.seed, "dedup_minhash"))
-    kept, _ = dedup_minhash(records, hasher)
+    kept, _ = dedup_minhash(records)
     backend = build_embedding_backend(args.embedding)
     kept, _ = dedup_semantic(kept, backend, cache)
     _write_claims_atomic(kept, args.out)

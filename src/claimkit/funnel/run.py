@@ -1,7 +1,7 @@
 """Funnel orchestration: config, stage accounting, and the end-to-end run.
 
-The funnel executes rule gating, difficulty banding, MinHash and semantic
-dedup, holdout decontamination, silver decomposition, stratified
+The funnel executes rule gating, difficulty banding, shingle-Jaccard and
+semantic dedup, holdout decontamination, silver decomposition, stratified
 facility-location selection, and long-evidence augmentation, in that
 order, with every stage's input/output counts and rejection reasons
 recorded in a chained report.
@@ -29,7 +29,6 @@ from ..wiring import (
 from .budget import allocate_budgets
 from .dedup import decontaminate, dedup_minhash, dedup_semantic
 from .select import alt_select, lazy_greedy
-from .shingling import MinHasher
 from .stages import (
     LONG_EVIDENCE_TOKENS,
     RuleThresholds,
@@ -258,8 +257,7 @@ def run_funnel(
     report.add("difficulty_filter", len(records), len(kept), rejected)
     records = kept
 
-    hasher = MinHasher(seed=stage_seed(config.seed, "dedup_minhash"))
-    kept, rejected = dedup_minhash(records, hasher)
+    kept, rejected = dedup_minhash(records)
     report.add("dedup_minhash", len(records), len(kept), rejected)
     records = kept
 
@@ -290,9 +288,9 @@ def run_funnel(
                                      embedding, cache)
     except ValueError as exc:
         raise StageError("select", str(exc)) from exc
+    selected_ids = {s.id for s in selected}
     report.add("select", len(records), len(selected),
-               [(r, "not-selected") for r in records
-                if r.id not in {s.id for s in selected}])
+               [(r, "not-selected") for r in records if r.id not in selected_ids])
 
     final = long_evidence_augment(records, selected, LONG_EVIDENCE_TOKENS)
     report.add("augment", len(selected), len(final))

@@ -3,8 +3,8 @@
 Shingles are 3-word windows over the corpus tokenizer, lowercased; texts
 shorter than 3 tokens contribute a singleton shingle of the whole text so
 every record hashes to something. MinHash signatures estimate Jaccard as
-the fraction of agreeing positions; final dedup decisions always use the
-exact set statistic, so the signatures are purely a candidate filter.
+the fraction of agreeing positions. They are kept as the paper's estimator;
+the funnel's dedup uses the exact join in `dedup.py`, not MinHash.
 """
 
 from __future__ import annotations

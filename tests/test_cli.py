@@ -23,12 +23,14 @@ VALID_TRACE = (
 )
 
 
-@pytest.fixture()
-def corpus_files(tmp_path):
+@pytest.fixture(scope="module")
+def corpus_files(tmp_path_factory):
+    # Written once and only read: generating the corpus dominates test setup.
     records = funnel_corpus()
     holdout = holdout_corpus(records)
-    claims = tmp_path / "claims.jsonl"
-    hold = tmp_path / "holdout.jsonl"
+    corpus_dir = tmp_path_factory.mktemp("corpus")
+    claims = corpus_dir / "claims.jsonl"
+    hold = corpus_dir / "holdout.jsonl"
     write_claims(records, claims)
     write_claims(holdout, hold)
     return claims, hold

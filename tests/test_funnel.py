@@ -2,12 +2,14 @@
 
 import itertools
 import json
+import random
+import string
 
 import numpy as np
 import pytest
 from conftest import PlantedEmbedding
 
-from claimkit.backends import MemoryCache
+from claimkit.backends import MemoryCache, embed
 from claimkit.corpus import ClaimRecord, HeuristicEntityCounter, Label, write_claims
 from claimkit.funnel import (
     FunnelConfig,
@@ -104,6 +106,35 @@ class TestDedupMinhash:
         assert [r.id for r in again] == [r.id for r in kept]
         assert removed == []
 
+    def test_planted_pairs_at_075_all_removed(self):
+        # Replacing the last 4 of 30 words leaves 24 of 28 shingles shared: J = 24/32.
+        rng = random.Random(0)
+
+        def word():
+            return "".join(rng.choices(string.ascii_lowercase, k=8))
+
+        records = []
+        for p in range(200):
+            words = [word() for _ in range(30)]
+            records.append(rec(f"a{p}", " ".join(words)))
+            records.append(rec(f"b{p}", " ".join(words[:26] + [word() for _ in range(4)])))
+        for a, b in zip(records[::2], records[1::2]):
+            assert exact_jaccard(shingle_set(a.claim), shingle_set(b.claim)) == 0.75
+        kept, removed = dedup_minhash(records)
+        assert [r.id for r in kept] == [f"a{p}" for p in range(200)]
+        assert [why for _, why in removed] == [f"near-duplicate-of:a{p}" for p in range(200)]
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_boundary_070_removed(self, order):
+        # 12 words give 10 shingles; the first 9 of them give 7 of those 10: J = 0.7.
+        words = "one two three four five six seven eight nine ten eleven twelve".split()
+        texts = (" ".join(words), " ".join(words[:9]))
+        records = [rec(f"r{i}", texts[i]) for i in order]
+        assert exact_jaccard(shingle_set(texts[0]), shingle_set(texts[1])) == 0.7
+        kept, removed = dedup_minhash(records)
+        assert [r.id for r in kept] == [f"r{order[0]}"]
+        assert removed[0][1] == f"near-duplicate-of:r{order[0]}"
+
 
 class TestDedupSemantic:
     def _emb(self):
@@ -163,6 +194,119 @@ class TestDecontaminate:
     def test_empty_holdout_rejected(self):
         with pytest.raises(ValueError):
             decontaminate([rec("t", "x")], [], PlantedEmbedding({}), MemoryCache())
+
+    def test_lowest_holdout_index_wins_and_jaccard_wins_tie(self):
+        near = [0.95, float(np.sqrt(1 - 0.95 ** 2))]
+        emb = PlantedEmbedding({
+            "one two three four five six": [1.0, 0.0],
+            "unrelated holdout words here": near,
+            "seven eight nine ten eleven": [0.0, 1.0],
+        })
+        train = [rec("t1", "one two three four five six"),
+                 rec("t2", "seven eight nine ten eleven")]
+        holdout = [rec("h0", "unrelated holdout words here"),
+                   rec("h1", "one two three four five six"),
+                   rec("h2", "seven eight nine ten eleven")]
+        _, removed = decontaminate(train, holdout, emb, MemoryCache())
+        # t1: cosine with h0 comes before its Jaccard copy h1; t2: both predicates at h2
+        assert [why for _, why in removed] == ["holdout-cosine:h0", "holdout-jaccard:h2"]
+
+
+class BagOfWords:
+    """Word-count vectors over a fixed vocabulary: similar word mixes embed close."""
+
+    backend_id = "bag-of-words"
+
+    def __init__(self, vocabulary):
+        self.vocabulary = vocabulary
+
+    def embed_texts(self, texts):
+        return [[text.split().count(w) for w in self.vocabulary] for text in texts]
+
+
+def colliding_claims(rng, vocabulary, n, bases=()):
+    """Short claims over a tiny vocabulary, half of them edits of an earlier
+    claim or of `bases`, so shingle sets overlap often."""
+    out = []
+    for _ in range(n):
+        pool = out + list(bases)
+        if pool and rng.random() < 0.5:
+            words = rng.choice(pool).split()
+            i = rng.randrange(len(words))
+            edit = rng.choice(("drop", "swap", "add"))
+            if edit == "drop" and len(words) > 1:
+                del words[i]
+            elif edit == "swap":
+                words[i] = rng.choice(vocabulary)
+            else:
+                words.insert(i, rng.choice(vocabulary))
+        else:
+            words = rng.choices(vocabulary, k=rng.randint(1, 9))
+        out.append(" ".join(words))
+    return out
+
+
+def reference_dedup(records):
+    kept, removed = [], []
+    for r in records:
+        s = shingle_set(r.claim)
+        hit = next((k for k in kept if exact_jaccard(s, shingle_set(k.claim)) >= 0.7), None)
+        if hit is None:
+            kept.append(r)
+        else:
+            removed.append((r, f"near-duplicate-of:{hit.id}"))
+    return kept, removed
+
+
+def reference_decontaminate(train, holdout, backend, cache):
+    sims = (embed([r.claim for r in train], backend, cache)
+            @ embed([r.claim for r in holdout], backend, cache).T)
+    kept, removed = [], []
+    for i, r in enumerate(train):
+        reason = None
+        for j, h in enumerate(holdout):
+            if exact_jaccard(shingle_set(r.claim), shingle_set(h.claim)) >= 0.7:
+                reason = f"holdout-jaccard:{h.id}"
+                break
+            if float(sims[i, j]) >= 0.90:
+                reason = f"holdout-cosine:{h.id}"
+                break
+        if reason is None:
+            kept.append(r)
+        else:
+            removed.append((r, reason))
+    return kept, removed
+
+
+class TestShingleJoinDifferential:
+    VOCABULARY = "red blue green cat dog bird runs sits eats big small old".split()
+
+    @staticmethod
+    def _ids(result):
+        kept, removed = result
+        return [r.id for r in kept], [(r.id, why) for r, why in removed]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_dedup_matches_brute_force(self, seed):
+        rng = random.Random(seed)
+        records = [rec(f"r{i}", c)
+                   for i, c in enumerate(colliding_claims(rng, self.VOCABULARY, 150))]
+        got = self._ids(dedup_minhash(records))
+        assert got == self._ids(reference_dedup(records))
+        assert got[1] and len(got[0]) > 20
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_decontaminate_matches_brute_force(self, seed):
+        rng = random.Random(seed)
+        hold_claims = colliding_claims(rng, self.VOCABULARY, 40)
+        holdout = [rec(f"h{j}", c) for j, c in enumerate(hold_claims)]
+        train = [rec(f"t{i}", c) for i, c in
+                 enumerate(colliding_claims(rng, self.VOCABULARY, 120, bases=hold_claims))]
+        emb = BagOfWords(self.VOCABULARY)
+        got = self._ids(decontaminate(train, holdout, emb, MemoryCache()))
+        assert got == self._ids(reference_decontaminate(train, holdout, emb, MemoryCache()))
+        kinds = {why.split(":")[0] for _, why in got[1]}
+        assert kinds == {"holdout-jaccard", "holdout-cosine"} and got[0]
 
 
 class TestBudgets:
