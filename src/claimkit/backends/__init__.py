@@ -20,6 +20,7 @@ from .judges import (
     JudgeBackend,
     JudgeParseError,
     judge_generate,
+    judge_generate_many,
 )
 from .parsers import (
     ATOMICITY_KEYS,
@@ -60,6 +61,7 @@ __all__ = [
     "difficulty_score",
     "embed",
     "judge_generate",
+    "judge_generate_many",
     "parse_atomicity",
     "parse_binary_answer",
     "parse_question_list",

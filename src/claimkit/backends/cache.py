@@ -2,8 +2,9 @@
 
 Keys are SHA-256 digests over (template id, rendered prompt, backend id,
 decoding params). Layout: one root directory, two-hex-char shard
-subdirectories, one JSON file per key. A key is written at most once;
-concurrent writers race on an exclusive create and losers re-read.
+subdirectories, one JSON file per key. A key is written once, unless its
+file does not parse; concurrent writers race on an exclusive create and
+losers re-read.
 """
 
 from __future__ import annotations
@@ -73,15 +74,18 @@ class DiskCache:
         return self.root / key[:2] / f"{key}.json"
 
     def get(self, key: str) -> dict | None:
+        """The stored record, or None when there is none or its file does not
+        parse (a write cut short); `put` then replaces that file."""
         path = self._path(key)
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 return json.load(fh)
-        except FileNotFoundError:
+        except (FileNotFoundError, ValueError):  # ValueError: JSON or UTF-8 cut short
             return None
 
     def put(self, key: str, record: dict) -> dict:
-        """Store a record under key; first writer wins, losers get the stored copy."""
+        """Store a record under key; first writer wins, losers get the stored copy.
+        A file under the key that does not parse is replaced."""
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         blob = json.dumps(record, sort_keys=True, ensure_ascii=False)
@@ -92,7 +96,8 @@ class DiskCache:
             try:
                 os.link(tmp, path)
             except FileExistsError:
-                pass
+                if self.get(key) is None:
+                    os.replace(tmp, path)
         finally:
             try:
                 os.unlink(tmp)

@@ -9,13 +9,16 @@ send and the reply field they read, so each is a one-method subclass of
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 from typing import Any
 
 from .cache import prompt_digest
 
-RETRIES = 2  # extra attempts after a connection error or a 5xx reply
+RETRIES = 2  # extra attempts after a connection error, a 429 or a 5xx reply
 TIMEOUT_S = 120.0
+RETRY_AFTER_MAX_S = 30.0  # longest wait a server's Retry-After header can ask for
+MAX_IN_FLIGHT = 8  # concurrent requests `judge_generate_many` sends to one HttpBackend
 
 
 class TransportError(RuntimeError):
@@ -29,8 +32,10 @@ class ProtocolError(RuntimeError):
 class HttpBackend:
     """JSON POST to one endpoint, returning one field of the JSON reply.
 
-    A connection error or a 5xx reply is retried RETRIES times and then
-    raises TransportError. Any other non-200 reply, a non-JSON body, or a
+    A connection error, a 429 or a 5xx reply is retried RETRIES times and
+    then raises TransportError. Before retrying a 429 or 5xx reply that
+    carries a numeric Retry-After header, the call sleeps that many seconds,
+    at most RETRY_AFTER_MAX_S. Any other non-200 reply, a non-JSON body, or a
     reply that is not an object holding the field raises ProtocolError.
     """
 
@@ -45,14 +50,17 @@ class HttpBackend:
         import requests
 
         last_exc: Exception | None = None
-        for _ in range(RETRIES + 1):
+        for attempt in range(RETRIES + 1):
             try:
                 resp = requests.post(self.endpoint, json=body, timeout=TIMEOUT_S)
             except requests.RequestException as exc:
                 last_exc = exc
                 continue
-            if resp.status_code >= 500:
-                last_exc = TransportError(f"server error {resp.status_code}")
+            if resp.status_code == 429 or resp.status_code >= 500:
+                last_exc = TransportError(f"server replied {resp.status_code}")
+                retry_after = resp.headers.get("Retry-After", "").strip()
+                if attempt < RETRIES and retry_after.isdecimal():
+                    time.sleep(min(int(retry_after), RETRY_AFTER_MAX_S))
                 continue
             if resp.status_code != 200:
                 raise ProtocolError(f"unexpected status {resp.status_code}")

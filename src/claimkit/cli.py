@@ -24,7 +24,6 @@ from .funnel import (
     decontaminate,
     dedup_minhash,
     dedup_semantic,
-    make_pmap,
     run_funnel,
     select_stratified,
 )
@@ -36,7 +35,9 @@ from .rewards import (
     Labeled,
     RewardBackends,
     Unlabeled,
+    fetch_judge_replies,
     group_advantages,
+    plan_judge_requests,
     pseudo_label,
     total_reward,
 )
@@ -245,8 +246,8 @@ def _cmd_score(args) -> int:
         print(f"dry-run ok: {len(rows)} traces against {len(claims)} claims")
         return 0
     bk = _reward_backends(args)
-
-    def one(row: dict) -> dict:
+    jobs = []
+    for row in rows:
         record = claims[row["id"]]
         if args.mode == "labeled":
             if record.label is None:
@@ -254,9 +255,14 @@ def _cmd_score(args) -> int:
             mode = Labeled(record.label)
         else:
             mode = Unlabeled(None)
-        return total_reward(record, row["trace"], mode, bk).to_json_obj(record.id)
+        jobs.append((record, row["trace"], mode))
 
-    results = make_pmap(args.workers)(one, rows)
+    # Plan every rollout, fetch all judge replies in one dispatch, then score.
+    bk = fetch_judge_replies(bk, (
+        request for record, trace, _ in jobs
+        for request in plan_judge_requests(record, parse_trace(trace))))
+    results = [total_reward(record, trace, mode, bk).to_json_obj(record.id)
+               for record, trace, mode in jobs]
     text = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in results)
     atomic_write_text(args.out, text)
     print(f"scored {len(results)} traces")
@@ -273,25 +279,30 @@ def _cmd_score_group(args) -> int:
     for row in rows:
         groups.setdefault(row["id"], []).append(row)
 
-    out_rows: list[dict] = []
+    jobs = []
     for cid in sorted(groups):
         record = claims[cid]
         group = groups[cid]
         if len(group) < 2:
             raise UsageError(f"group {cid!r} has fewer than 2 rollouts")
-        verdicts = [parse_trace(row["trace"]).verdict for row in group]
-        label_hat = pseudo_label(verdicts)
+        reports = [parse_trace(row["trace"]) for row in group]
+        label_hat = pseudo_label([report.verdict for report in reports])
         if args.mode == "labeled":
             if record.label is None:
                 raise UsageError(f"claim {cid!r} has no gold label")
             mode = Labeled(record.label)
         else:
             mode = Unlabeled(label_hat)
+        jobs.append((record, group, reports, mode, label_hat))
 
-        def one(row: dict) -> dict:
-            return total_reward(record, row["trace"], mode, bk).to_json_obj(cid)
-
-        scored = make_pmap(args.workers)(one, group)
+    # Plan every rollout, fetch all judge replies in one dispatch, then score.
+    bk = fetch_judge_replies(bk, (
+        request for record, _, reports, _, _ in jobs for report in reports
+        for request in plan_judge_requests(record, report)))
+    out_rows: list[dict] = []
+    for record, group, _, mode, label_hat in jobs:
+        scored = [total_reward(record, row["trace"], mode, bk).to_json_obj(record.id)
+                  for row in group]
         advantages = group_advantages([r["total"] for r in scored])
         for k, (row_out, adv) in enumerate(zip(scored, advantages)):
             row_out["rollout"] = k

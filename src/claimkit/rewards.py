@@ -5,13 +5,23 @@ necessity (4-state leave-one-out on the labeled path, binary flip test on
 the unlabeled path), and joint multiplicative quality. All seven sum at
 unit weight into one scalar per trace; an external trainer consumes the
 group-normalized advantages.
+
+The four judge-backed components score in three steps, plan -> dispatch ->
+score. `plan_judge_requests` lists every judge prompt one rollout needs; no
+judge reply feeds another prompt, so a whole file of rollouts can be planned
+before any call is sent. `fetch_judge_replies` hands a plan to one
+`judge_generate_many` call, which reads the cache once per distinct prompt,
+calls the judge once per distinct miss (concurrently over HTTP) and stores
+each reply, and returns backends that hold the replies. Scoring then reads
+every verdict from those replies and calls no judge. A component, or
+`total_reward`, given backends without replies plans and fetches its own.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -24,12 +34,15 @@ from .backends import (
     TemplateId,
     ThreeWayVerdict,
     embed,
-    judge_generate,
+    judge_generate_many,
     parse_atomicity,
     parse_binary_answer,
     parse_verdict,
+    prompt_digest,
     render_prompt,
 )
+# Unused here, but perfbench/tracing.py wraps this module-level name.
+from .backends import judge_generate  # noqa: F401
 from .corpus import ClaimRecord, Label
 from .trace import ParseReport, is_abstention, parse_trace
 
@@ -142,27 +155,113 @@ def diversity_reward(
 
 # --- judge-backed components -----------------------------------------------
 
-
-def _format_answers(answers: Sequence[str]) -> str:
-    return "\n".join(f"{i + 1}. {a}" for i, a in enumerate(answers))
+JudgeRequest = tuple[TemplateId, str]  # (template, rendered prompt)
 
 
-def _coverage_verdict(
-    claim: str,
-    answers: Sequence[str],
-    bk: RewardBackends,
-) -> ThreeWayVerdict | None:
-    """Run the coverage judge on (answers, claim); None on a judge parse error."""
-    prompt = render_prompt(
-        TemplateId.COVERAGE_VERDICT,
-        {"answers": _format_answers(answers), "claim": claim},
-    )
-    reply = judge_generate(bk.judge, prompt, bk.params, bk.cache,
-                           template_id=TemplateId.COVERAGE_VERDICT.value)
+@dataclass
+class _WithReplies(RewardBackends):
+    """Backends plus the judge replies fetched for a plan, keyed as
+    `judge_generate_many` keys them."""
+
+    replies: dict[tuple[str, str], str] = field(default_factory=dict)
+
+
+def fetch_judge_replies(bk: RewardBackends, requests: Iterable[JudgeRequest]) -> RewardBackends:
+    """Fetch the replies to every request in one dispatch; the returned
+    backends score any rollout whose prompts are among the requests."""
+    replies = judge_generate_many(bk.judge, ((t.value, prompt) for t, prompt in requests),
+                                  bk.params, bk.cache)
+    return _WithReplies(bk.judge, bk.embedding, bk.cache, bk.params, replies)
+
+
+def _fetched(bk: RewardBackends, plan: Callable[..., list[JudgeRequest]], *args) -> _WithReplies:
+    """bk itself when it already holds fetched replies, else bk plus the replies to plan(*args)."""
+    return bk if isinstance(bk, _WithReplies) else fetch_judge_replies(bk, plan(*args))
+
+
+# template -> (reply parser, score on a parse error, flag for a parse error)
+_READERS = {
+    TemplateId.COVERAGE_VERDICT: (parse_verdict, None, "coverage-judge-parse-error"),
+    TemplateId.ANSWERABILITY: (lambda r: float(parse_binary_answer(r)), 0.0,
+                               "answerability-judge-parse-error"),
+    TemplateId.ATOMICITY_CHECKLIST: (lambda r: parse_atomicity(r).fraction_passed(), 0.0,
+                                     "atomicity-judge-parse-error"),
+    TemplateId.ANSWER_CORRECTNESS: (lambda r: float(parse_binary_answer(r)), 0.0,
+                                    "correctness-judge-parse-error"),
+}
+
+
+def _ask(bk: _WithReplies, template: TemplateId, slots: dict[str, str],
+         flags: list[str] | None = None):
+    """The parsed reply to one fetched prompt. A judge parse error gives the
+    template's fallback score and, when flags is given, appends its flag."""
+    parse, fallback, flag = _READERS[template]
+    reply = bk.replies[(template.value, prompt_digest(render_prompt(template, slots)))]
     try:
-        return parse_verdict(reply)
+        return parse(reply)
     except JudgeParseError:
-        return None
+        if flags is not None:
+            flags.append(flag)
+        return fallback
+
+
+def _request(template: TemplateId, slots: dict[str, str]) -> JudgeRequest:
+    return template, render_prompt(template, slots)
+
+
+def _coverage_slots(claim: str, answers: Sequence[str]) -> dict[str, str]:
+    return {"answers": "\n".join(f"{i + 1}. {a}" for i, a in enumerate(answers)),
+            "claim": claim}
+
+
+def _leave_one_out(answers: Sequence[str]) -> list[list[str]]:
+    return [[a for j, a in enumerate(answers) if j != i] for i in range(len(answers))]
+
+
+def _quality_asks(claim: str, document: str, question: str,
+                  answer: str) -> list[tuple[TemplateId, dict[str, str]]]:
+    """Answerability and atomicity, plus correctness unless the answer abstains."""
+    asks = [(TemplateId.ANSWERABILITY, {"document": document, "question": question}),
+            (TemplateId.ATOMICITY_CHECKLIST, {"claim": claim, "question": question})]
+    if not is_abstention(answer):
+        asks.append((TemplateId.ANSWER_CORRECTNESS, {"document": document, "sentence": answer}))
+    return asks
+
+
+def _coverage_plan(claim: str, answers: Sequence[str]) -> list[JudgeRequest]:
+    return [_request(TemplateId.COVERAGE_VERDICT, _coverage_slots(claim, answers))]
+
+
+def _necessity_plan(claim: str, answers: Sequence[str]) -> list[JudgeRequest]:
+    """Coverage on the full answer set and on each non-empty leave-one-out subset."""
+    return _coverage_plan(claim, answers) + [
+        _request(TemplateId.COVERAGE_VERDICT, _coverage_slots(claim, rest))
+        for rest in _leave_one_out(answers) if rest
+    ]
+
+
+def _joint_plan(claim: str, document: str,
+                qa_pairs: Sequence[tuple[str, str]]) -> list[JudgeRequest]:
+    return [_request(template, slots) for question, answer in qa_pairs
+            for template, slots in _quality_asks(claim, document, question, answer)]
+
+
+def plan_judge_requests(record: ClaimRecord, report: ParseReport) -> list[JudgeRequest]:
+    """Every judge prompt `total_reward` asks about one rollout, in the order
+    it asks them: per question answerability, atomicity and (unless the
+    answer abstains) correctness; then coverage on the full answer set and on
+    each non-empty leave-one-out subset. The same for both supervision modes."""
+    requests = _joint_plan(record.claim, record.evidence_text(),
+                           list(zip(report.questions, report.answers)))
+    if report.answers:
+        requests += _necessity_plan(record.claim, report.answers)
+    return requests
+
+
+def _coverage_verdict(claim: str, answers: Sequence[str], bk: _WithReplies,
+                      flags: list[str] | None = None) -> ThreeWayVerdict | None:
+    """The coverage judge on (answers, claim); None on a judge parse error."""
+    return _ask(bk, TemplateId.COVERAGE_VERDICT, _coverage_slots(claim, answers), flags)
 
 
 def coverage_reward(
@@ -179,10 +278,26 @@ def coverage_reward(
     """
     if not answers:
         raise ValueError("coverage needs at least one answer")
-    verdict = _coverage_verdict(claim, answers, bk)
-    if verdict is None and flags is not None:
-        flags.append("coverage-judge-parse-error")
+    bk = _fetched(bk, _coverage_plan, claim, answers)
+    verdict = _coverage_verdict(claim, answers, bk, flags)
     return int(verdict is ThreeWayVerdict.from_label(reference))
+
+
+def _leave_one_out_verdicts(
+    claim: str,
+    answers: Sequence[str],
+    bk: RewardBackends,
+) -> tuple[ThreeWayVerdict | None, list[ThreeWayVerdict | None]]:
+    """Coverage verdicts on the full answer set and on the set without each
+    answer in turn; None where dropping the only answer leaves nothing to judge."""
+    bk = _fetched(bk, _necessity_plan, claim, answers)
+    full = _coverage_verdict(claim, answers, bk)
+    return full, [_coverage_verdict(claim, rest, bk) if rest else None
+                  for rest in _leave_one_out(answers)]
+
+
+# (full set reconstructs the target, set without the answer does) -> score
+_NECESSITY = {(True, False): 1.0, (True, True): 0.5, (False, False): 0.0, (False, True): -1.0}
 
 
 def necessity_reward(
@@ -199,24 +314,8 @@ def necessity_reward(
     if not answers:
         raise ValueError("necessity needs at least one answer")
     target = ThreeWayVerdict.from_label(gold)
-    full = _coverage_verdict(claim, answers, bk)
-    full_ok = full is target
-    scores: list[float] = []
-    for i in range(len(answers)):
-        loo_answers = [a for j, a in enumerate(answers) if j != i]
-        if loo_answers:
-            loo = _coverage_verdict(claim, loo_answers, bk)
-        else:
-            loo = None  # dropping the only answer leaves nothing to judge
-        loo_ok = loo is target
-        if full_ok and not loo_ok:
-            scores.append(1.0)
-        elif full_ok and loo_ok:
-            scores.append(0.5)
-        elif not full_ok and not loo_ok:
-            scores.append(0.0)
-        else:
-            scores.append(-1.0)
+    full, loo = _leave_one_out_verdicts(claim, answers, bk)
+    scores = [_NECESSITY[full is target, verdict is target] for verdict in loo]
     return scores, min(scores)
 
 
@@ -228,12 +327,8 @@ def necessity_reward_relative(
     """Label-free necessity: 1 iff dropping the answer flips the judge verdict."""
     if not answers:
         raise ValueError("necessity needs at least one answer")
-    full = _coverage_verdict(claim, answers, bk)
-    scores: list[float] = []
-    for i in range(len(answers)):
-        loo_answers = [a for j, a in enumerate(answers) if j != i]
-        loo = _coverage_verdict(claim, loo_answers, bk) if loo_answers else None
-        scores.append(float(loo is not full if (loo is not None or full is not None) else 0.0))
+    full, loo = _leave_one_out_verdicts(claim, answers, bk)
+    scores = [float(verdict is not full) for verdict in loo]
     return scores, min(scores)
 
 
@@ -251,48 +346,13 @@ def joint_quality_reward(
     """
     if not qa_pairs:
         raise ValueError("joint quality needs at least one cycle")
+    bk = _fetched(bk, _joint_plan, claim, document, qa_pairs)
     terms: list[float] = []
     for question, answer in qa_pairs:
-        ans_prompt = render_prompt(
-            TemplateId.ANSWERABILITY, {"document": document, "question": question}
-        )
-        reply = judge_generate(bk.judge, ans_prompt, bk.params, bk.cache,
-                               template_id=TemplateId.ANSWERABILITY.value)
-        try:
-            r_ans = float(parse_binary_answer(reply))
-        except JudgeParseError:
-            r_ans = 0.0
-            if flags is not None:
-                flags.append("answerability-judge-parse-error")
-
-        atom_prompt = render_prompt(
-            TemplateId.ATOMICITY_CHECKLIST, {"claim": claim, "question": question}
-        )
-        reply = judge_generate(bk.judge, atom_prompt, bk.params, bk.cache,
-                               template_id=TemplateId.ATOMICITY_CHECKLIST.value)
-        try:
-            r_atom = parse_atomicity(reply).fraction_passed()
-        except JudgeParseError:
-            r_atom = 0.0
-            if flags is not None:
-                flags.append("atomicity-judge-parse-error")
-
-        if is_abstention(answer):
-            terms.append(r_ans * r_atom)
-            continue
-
-        corr_prompt = render_prompt(
-            TemplateId.ANSWER_CORRECTNESS, {"document": document, "sentence": answer}
-        )
-        reply = judge_generate(bk.judge, corr_prompt, bk.params, bk.cache,
-                               template_id=TemplateId.ANSWER_CORRECTNESS.value)
-        try:
-            r_corr = float(parse_binary_answer(reply))
-        except JudgeParseError:
-            r_corr = 0.0
-            if flags is not None:
-                flags.append("correctness-judge-parse-error")
-        terms.append(r_ans * r_atom * r_corr)
+        term = 1.0
+        for template, slots in _quality_asks(claim, document, question, answer):
+            term *= _ask(bk, template, slots, flags)
+        terms.append(term)
     return terms, sum(terms) / len(terms)
 
 
@@ -307,6 +367,9 @@ def total_reward(
 ) -> RewardBreakdown:
     """Parse a trace and dispatch all seven components per supervision mode.
 
+    Judge verdicts come from bk's fetched replies when it holds them (see
+    `fetch_judge_replies`); otherwise the rollout's plan is fetched first.
+
     On the unlabeled path the verification reward is dropped (contributes 0),
     coverage scores against the group pseudo-label when one exists, and
     necessity falls back to the binary flip test.
@@ -319,6 +382,7 @@ def total_reward(
         raise ValueError("labeled mode requires a gold label")
 
     report = parse_trace(trace_text)
+    bk = _fetched(bk, plan_judge_requests, record, report)
     flags: list[str] = []
 
     fmt = format_reward(report)

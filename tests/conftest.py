@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import json
 import re
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+
+from claimkit.backends import DecodingParams
+from claimkit.mock import HashJudgeBackend
 
 ANSWERS_BLOCK = re.compile(r"<answers>\n(.*?)\n</answers>", re.DOTALL)
 QUESTION_BLOCK = re.compile(r"<question>\n(.*?)\n</question>", re.DOTALL)
@@ -71,6 +76,14 @@ class ScriptedJudge:
         raise AssertionError("scripted judge got an unexpected prompt")
 
 
+# Arbitrary text, and text stitched from the trace grammar's own pieces, which
+# reaches far more parser states than random characters do.
+_TRACE_PIECES = ("<think>", "</think>", "<question>", "</question>", "<answer>", "</answer>",
+                 "<verification>", "</verification>", "Supported", "Refuted", "I don't know",
+                 "Is it stated?", "Yes.", " ", "\n", "<", ">", "x")
+trace_texts = st.one_of(st.text(), st.lists(st.sampled_from(_TRACE_PIECES)).map("".join))
+
+
 class PlantedEmbedding:
     """Embedding backend with an explicit text -> vector table."""
 
@@ -82,14 +95,13 @@ class PlantedEmbedding:
         return [self.table[t].tolist() for t in texts]
 
 
-class _CannedHandler(BaseHTTPRequestHandler):
-    def do_POST(self):
-        self.rfile.read(int(self.headers.get("Content-Length", 0)))
-        self.server.requests += 1
-        status, body = self.server.reply
+class _QuietHandler(BaseHTTPRequestHandler):
+    def _send(self, status: int, body: bytes, headers: dict | None = None) -> None:
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
 
@@ -97,19 +109,64 @@ class _CannedHandler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture()
-def loopback(monkeypatch):
-    """One-thread HTTP server on 127.0.0.1 that answers every POST with
-    `server.reply` (status, body bytes) and counts requests in `server.requests`."""
-    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
-    server = HTTPServer(("127.0.0.1", 0), _CannedHandler)
-    server.reply = (200, b"{}")
-    server.requests = 0
+class _CannedHandler(_QuietHandler):
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        self.server.requests += 1
+        reply = self.server.queue.pop(0) if self.server.queue else self.server.reply
+        self._send(*reply)
+
+
+def _serve(server):
     server.url = f"http://127.0.0.1:{server.server_port}/"
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll keeps shutdown() from waiting out the default 0.5 s
+    thread = threading.Thread(target=server.serve_forever, args=(0.02,), daemon=True)
     thread.start()
     yield server
     server.shutdown()
     server.server_close()
     thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+@pytest.fixture()
+def loopback(monkeypatch):
+    """One-thread HTTP server on 127.0.0.1 that answers each POST with the
+    next (status, body bytes[, headers]) in `server.queue`, then with
+    `server.reply`, and counts requests in `server.requests`."""
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    server = HTTPServer(("127.0.0.1", 0), _CannedHandler)
+    server.reply = (200, b"{}")
+    server.queue = []
+    server.requests = 0
+    yield from _serve(server)
+
+
+class _ThreadedServer(ThreadingHTTPServer):
+    daemon_threads = True
+    request_queue_size = 64  # above the client's concurrent requests
+
+
+class _JudgeHandler(_QuietHandler):
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers.get("Content-Length", 0))))
+        prompt = body["prompt"]
+        with self.server.lock:
+            self.server.prompts.append(prompt)
+        status, reply = self.server.respond(prompt)
+        self._send(status, json.dumps({"text": reply}).encode())
+
+
+@pytest.fixture()
+def judge_server(monkeypatch):
+    """Threaded judge on 127.0.0.1 speaking the judge wire protocol. It records
+    every request's prompt in `server.prompts` and answers with
+    `server.respond(prompt) -> (status, text)`, by default the mock judge's
+    reply with status 200."""
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    server = _ThreadedServer(("127.0.0.1", 0), _JudgeHandler)
+    server.lock = threading.Lock()
+    server.prompts = []
+    mock = HashJudgeBackend()
+    server.respond = lambda prompt: (200, mock.generate(prompt, DecodingParams()))
+    yield from _serve(server)

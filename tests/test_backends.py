@@ -3,6 +3,7 @@ difficulty scoring."""
 
 import json
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from claimkit.backends import (
     difficulty_score,
     embed,
     judge_generate,
+    judge_generate_many,
     parse_atomicity,
     parse_binary_answer,
     parse_question_list,
@@ -36,6 +38,8 @@ from claimkit.backends import (
     render_prompt,
     template_slots,
 )
+from claimkit.backends import transport
+from claimkit.backends.transport import MAX_IN_FLIGHT, RETRIES, RETRY_AFTER_MAX_S
 from claimkit.corpus import ClaimRecord, Label
 from claimkit.mock import HashEmbeddingBackend, HashJudgeBackend, HashVerifierBackend
 
@@ -113,6 +117,18 @@ class TestCache:
             t.join()
         assert len(set(results)) == 1
 
+    def test_unparseable_file_is_a_miss_and_replaced(self, tmp_path):
+        cache = DiskCache(tmp_path / "c")
+        key = cache_key("t", "p", "b")
+        cache.put(key, {"response": "h\u00e9llo"})
+        path = tmp_path / "c" / key[:2] / f"{key}.json"
+        for cut in (b"", path.read_bytes()[:-3], "{\"response\": \"h\u00e9".encode()[:-1]):
+            path.write_bytes(cut)  # a write cut short, in JSON or mid-character
+            assert cache.get(key) is None
+            assert cache.put(key, {"response": "again"})["response"] == "again"
+            assert json.loads(path.read_text(encoding="utf-8")) == {"response": "again"}
+            assert not list(path.parent.glob("*.tmp"))
+
 
 class TestJudgePlumbing:
     def test_fixture_judge_replay(self, tmp_path):
@@ -143,6 +159,65 @@ class TestJudgePlumbing:
         assert judge_generate(Counting(), "p", params, cache) == "reply"
         assert judge_generate(Counting(), "p", params, cache) == "reply"
         assert len(calls) == 1
+
+    def test_generate_many_single_flight(self):
+        calls, gets = [], []
+
+        class Counting:
+            backend_id = "counting"
+
+            def generate(self, prompt, params):
+                calls.append(prompt)
+                return f"reply to {prompt}"
+
+        class CountingCache(MemoryCache):
+            def get(self, key):
+                gets.append(key)
+                return super().get(key)
+
+        cache, params = CountingCache(), DecodingParams()
+        cache.put(cache_key("t", "hit", "counting", params), {"response": "stored"})
+        requests = [("t", "b"), ("t", "a"), ("t", "b"), ("t", "hit"), ("u", "b"), ("t", "a")]
+        replies = judge_generate_many(Counting(), requests, params, cache)
+        assert calls == ["b", "a", "b"]  # in request order; ("u", "b") is another cache key
+        assert len(gets) == len(set(gets)) == 4
+        assert replies == {("t", prompt_digest("b")): "reply to b",
+                           ("t", prompt_digest("a")): "reply to a",
+                           ("t", prompt_digest("hit")): "stored",
+                           ("u", prompt_digest("b")): "reply to b"}
+        assert judge_generate(Counting(), "a", params, cache, template_id="t") == "reply to a"
+        assert len(calls) == 3
+
+    def test_generate_many_raises_earliest_failure_and_keeps_the_rest(self, judge_server):
+        def respond(prompt):
+            if prompt in ("p1", "p3"):
+                time.sleep(0.4 if prompt == "p1" else 0.2)  # p3 fails first
+                return (400 if prompt == "p1" else 404), ""
+            return 200, f"ok {prompt}"
+
+        judge_server.respond = respond
+        cache, params = MemoryCache(), DecodingParams()
+        backend = HttpJudgeBackend(judge_server.url)
+        with pytest.raises(ProtocolError, match="400"):
+            judge_generate_many(backend, [("t", f"p{i}") for i in range(6)], params, cache)
+        for i in (0, 2, 4, 5):
+            assert cache.get(cache_key("t", f"p{i}", backend.backend_id, params)) is not None
+        assert sorted(judge_server.prompts) == [f"p{i}" for i in range(6)]
+
+    def test_generate_many_starts_no_call_after_a_failure(self, judge_server):
+        def respond(prompt):
+            if prompt == "p0":
+                return 404, ""
+            time.sleep(0.3)
+            return 200, "ok"
+
+        judge_server.respond = respond
+        with pytest.raises(ProtocolError):
+            judge_generate_many(HttpJudgeBackend(judge_server.url),
+                                [("t", f"p{i}") for i in range(4 * MAX_IN_FLIGHT)],
+                                DecodingParams(), MemoryCache())
+        # the calls in flight, plus at most one a freed worker took before the cancel
+        assert len(judge_server.prompts) <= MAX_IN_FLIGHT + 1
 
     def test_mock_judge_deterministic(self):
         judge = HashJudgeBackend()
@@ -301,6 +376,22 @@ class TestHttpFaults:
         with pytest.raises(ProtocolError):
             self._call(kind, loopback)
         assert loopback.requests == 1
+
+    def test_429_retried_after_retry_after(self, kind, loopback):
+        _, _, field, value = HTTP_BACKENDS[kind]
+        loopback.queue = [(429, b"{}", {"Retry-After": "0"})]
+        loopback.reply = (200, json.dumps({field: value}).encode())
+        assert self._call(kind, loopback) == value
+        assert loopback.requests == 2
+
+    def test_429_every_time_is_transport_error(self, kind, loopback, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(transport.time, "sleep", sleeps.append)
+        loopback.reply = (429, b"{}", {"Retry-After": "3600"})
+        with pytest.raises(TransportError):
+            self._call(kind, loopback)
+        assert loopback.requests == RETRIES + 1
+        assert sleeps == [RETRY_AFTER_MAX_S] * RETRIES  # capped; no sleep after the last try
 
     @pytest.mark.parametrize("body", [b"not json", b"[1, 2]", b'{"other": 1}'])
     def test_malformed_reply_is_protocol_error(self, kind, loopback, body):

@@ -208,6 +208,49 @@ class TestScoring:
             assert abs(sum(r["advantage"] for r in group)) < 1e-9
             assert all("pseudo_label" in r for r in group)  # 3-1 majority
 
+    def test_score_group_single_flight(self, tmp_path, corpus_files, judge_server):
+        # Rollouts of one claim share questions, so many requests repeat a prompt.
+        claims, traces = self._write_score_inputs(tmp_path, corpus_files, group=True)
+        outs = []
+        for judge in ("mock", judge_server.url):
+            outs.append(tmp_path / f"group-{len(outs)}.jsonl")
+            assert dispatch(["score-group", "--traces", str(traces), "--claims", str(claims),
+                             "--out", str(outs[-1]), "--judge", judge, "--workers", "2",
+                             "--cache-dir", str(tmp_path / "c")]) == 0
+        prompts = judge_server.prompts
+        assert prompts and len(prompts) == len(set(prompts))
+        # the server replies as the mock judge does, so the concurrent HTTP
+        # fetch must score exactly as the in-memory one
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_score_judge_failure_is_one_backend_error(self, tmp_path, corpus_files,
+                                                       judge_server, capsys):
+        claims, traces = self._write_score_inputs(tmp_path, corpus_files)
+        judge_server.respond = lambda prompt: ((404, "") if "Verdict Criteria" in prompt
+                                               else (200, "<answer>1</answer>"))
+        out = tmp_path / "rewards.jsonl"
+        assert dispatch(["score", "--traces", str(traces), "--claims", str(claims),
+                         "--out", str(out), "--judge", judge_server.url,
+                         "--cache-dir", str(tmp_path / "c")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: backend:")
+        assert not out.exists()
+
+    def test_score_rerun_replaces_truncated_cache_files(self, tmp_path, corpus_files):
+        claims, traces = self._write_score_inputs(tmp_path, corpus_files)
+        cache = tmp_path / "c"
+        argv = ["score", "--traces", str(traces), "--claims", str(claims),
+                "--cache-dir", str(cache), "--out"]
+        assert dispatch(argv + [str(tmp_path / "first.jsonl")]) == 0
+        files = sorted(cache.rglob("*.json"))
+        for path in files[::2]:  # judge replies and embeddings alike
+            path.write_bytes(path.read_bytes()[:20])
+        assert dispatch(argv + [str(tmp_path / "second.jsonl")]) == 0
+        assert (tmp_path / "first.jsonl").read_bytes() == (tmp_path / "second.jsonl").read_bytes()
+        assert sorted(cache.rglob("*.json")) == files
+        for path in files:
+            json.loads(path.read_text(encoding="utf-8"))
+
     def test_score_unknown_id_is_usage_error(self, tmp_path, corpus_files):
         claims, traces = self._write_score_inputs(tmp_path, corpus_files)
         bad = tmp_path / "bad.jsonl"

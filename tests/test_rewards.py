@@ -1,32 +1,50 @@
 """Seven-signal reward ensemble, pseudo-labels, advantages, supervision split."""
 
+import json
 import math
 
 import numpy as np
 import pytest
-from conftest import PlantedEmbedding, ScriptedJudge
+from conftest import PlantedEmbedding, ScriptedJudge, trace_texts
+from hypothesis import given, settings
+from test_acceptance import _random_trace
 
-from claimkit.backends import DecodingParams, MemoryCache
+from claimkit.backends import (
+    DecodingParams,
+    JudgeParseError,
+    MemoryCache,
+    TemplateId,
+    ThreeWayVerdict,
+    judge_generate,
+    parse_atomicity,
+    parse_binary_answer,
+    parse_verdict,
+    prompt_digest,
+    render_prompt,
+)
 from claimkit.corpus import ClaimRecord, Label
-from claimkit.mock import HashEmbeddingBackend
+from claimkit.mock import HashEmbeddingBackend, HashJudgeBackend
 from claimkit.rewards import (
     Labeled,
     RewardBackends,
+    RewardBreakdown,
     Unlabeled,
     coverage_reward,
     diversity_reward,
+    fetch_judge_replies,
     format_reward,
     group_advantages,
     joint_quality_reward,
     necessity_reward,
     necessity_reward_relative,
     partition_supervision,
+    plan_judge_requests,
     pseudo_label,
     question_count_reward,
     total_reward,
     verification_reward,
 )
-from claimkit.trace import parse_trace
+from claimkit.trace import is_abstention, parse_trace
 
 
 def make_backends(judge=None, embedding=None):
@@ -286,6 +304,198 @@ class TestTotalReward:
         first = total_reward(make_record(), VALID_TRACE, Labeled(Label.SUPPORTED), bk)
         second = total_reward(make_record(), VALID_TRACE, Labeled(Label.SUPPORTED), bk)
         assert first == second
+
+
+# --- the serial reference: one judge call at a time, as rewards were first scored ---
+
+
+def _ref_coverage_verdict(claim, answers, bk):
+    prompt = render_prompt(TemplateId.COVERAGE_VERDICT, {
+        "answers": "\n".join(f"{i + 1}. {a}" for i, a in enumerate(answers)), "claim": claim})
+    reply = judge_generate(bk.judge, prompt, bk.params, bk.cache,
+                           template_id=TemplateId.COVERAGE_VERDICT.value)
+    try:
+        return parse_verdict(reply)
+    except JudgeParseError:
+        return None
+
+
+def _ref_coverage(claim, answers, reference, bk, flags):
+    verdict = _ref_coverage_verdict(claim, answers, bk)
+    if verdict is None:
+        flags.append("coverage-judge-parse-error")
+    return int(verdict is ThreeWayVerdict.from_label(reference))
+
+
+def _ref_necessity(claim, answers, gold, bk):
+    target = ThreeWayVerdict.from_label(gold)
+    full_ok = _ref_coverage_verdict(claim, answers, bk) is target
+    scores = []
+    for i in range(len(answers)):
+        loo_answers = [a for j, a in enumerate(answers) if j != i]
+        loo = _ref_coverage_verdict(claim, loo_answers, bk) if loo_answers else None
+        loo_ok = loo is target
+        if full_ok and not loo_ok:
+            scores.append(1.0)
+        elif full_ok and loo_ok:
+            scores.append(0.5)
+        elif not full_ok and not loo_ok:
+            scores.append(0.0)
+        else:
+            scores.append(-1.0)
+    return scores, min(scores)
+
+
+def _ref_necessity_relative(claim, answers, bk):
+    full = _ref_coverage_verdict(claim, answers, bk)
+    scores = []
+    for i in range(len(answers)):
+        loo_answers = [a for j, a in enumerate(answers) if j != i]
+        loo = _ref_coverage_verdict(claim, loo_answers, bk) if loo_answers else None
+        scores.append(float(loo is not full if (loo is not None or full is not None) else 0.0))
+    return scores, min(scores)
+
+
+def _ref_factor(bk, template, slots, parse, flag, flags):
+    reply = judge_generate(bk.judge, render_prompt(template, slots), bk.params, bk.cache,
+                           template_id=template.value)
+    try:
+        return parse(reply)
+    except JudgeParseError:
+        flags.append(flag)
+        return 0.0
+
+
+def _ref_joint(claim, document, qa_pairs, bk, flags):
+    terms = []
+    for question, answer in qa_pairs:
+        r_ans = _ref_factor(bk, TemplateId.ANSWERABILITY,
+                            {"document": document, "question": question},
+                            lambda r: float(parse_binary_answer(r)),
+                            "answerability-judge-parse-error", flags)
+        r_atom = _ref_factor(bk, TemplateId.ATOMICITY_CHECKLIST,
+                             {"claim": claim, "question": question},
+                             lambda r: parse_atomicity(r).fraction_passed(),
+                             "atomicity-judge-parse-error", flags)
+        if is_abstention(answer):
+            terms.append(r_ans * r_atom)
+            continue
+        r_corr = _ref_factor(bk, TemplateId.ANSWER_CORRECTNESS,
+                             {"document": document, "sentence": answer},
+                             lambda r: float(parse_binary_answer(r)),
+                             "correctness-judge-parse-error", flags)
+        terms.append(r_ans * r_atom * r_corr)
+    return terms, sum(terms) / len(terms)
+
+
+def _ref_total_reward(record, trace_text, mode, bk):
+    report = parse_trace(trace_text)
+    flags = []
+    fmt = format_reward(report)
+    questions, answers = report.questions, report.answers
+    qa_pairs = list(zip(questions, answers))
+    n = len(questions)
+    if n >= 1:
+        qc = question_count_reward(n, record.silver_question_count)
+        div = diversity_reward(questions, bk.embedding, bk.cache)
+    else:
+        qc = div = 0.0
+        flags.append("no-questions")
+    if qa_pairs:
+        joint_pq, joint = _ref_joint(record.claim, record.evidence_text(), qa_pairs, bk, flags)
+    else:
+        joint_pq, joint = [], 0.0
+    if isinstance(mode, Labeled):
+        ver = float(verification_reward(report.verdict, mode.gold))
+        if answers:
+            cov = float(_ref_coverage(record.claim, answers, mode.gold, bk, flags))
+            nec_pq, nec = _ref_necessity(record.claim, answers, mode.gold, bk)
+        else:
+            cov, nec_pq, nec = 0.0, [], 0.0
+            flags.append("no-answers")
+        pseudo, mode_name = None, "labeled"
+    else:
+        ver = 0.0
+        pseudo = mode.pseudo
+        if pseudo is not None and answers:
+            cov = float(_ref_coverage(record.claim, answers, pseudo, bk, flags))
+        else:
+            cov = 0.0
+            if pseudo is None:
+                flags.append("no-pseudo-label")
+        if answers:
+            nec_pq, nec = _ref_necessity_relative(record.claim, answers, bk)
+        else:
+            nec_pq, nec = [], 0.0
+            flags.append("no-answers")
+        mode_name = "unlabeled"
+    total = fmt + ver + qc + div + cov + nec + joint
+    return RewardBreakdown(fmt=fmt, ver=ver, qc=qc, div=div, cov=cov, nec=nec, joint=joint,
+                           total=total, nec_per_question=nec_pq, joint_per_question=joint_pq,
+                           mode=mode_name, pseudo_label=pseudo, flags=flags)
+
+
+class GarblingJudge(HashJudgeBackend):
+    """The mock judge, with about one reply in four unparseable."""
+
+    backend_id = "garbling-judge"
+
+    def generate(self, prompt, params):
+        return "no structured answer" if prompt_digest(prompt)[0] in "0123" else \
+            super().generate(prompt, params)
+
+
+class CountingJudge(HashJudgeBackend):
+    def __init__(self):
+        self.calls = 0
+
+    def generate(self, prompt, params):
+        self.calls += 1
+        return super().generate(prompt, params)
+
+
+MODES = [Labeled(Label.SUPPORTED), Labeled(Label.REFUTED), Unlabeled(Label.SUPPORTED),
+         Unlabeled(Label.REFUTED), Unlabeled(None)]
+RECORD = ClaimRecord(id="diff", claim="Alice moved to Paris in 1921.",
+                     evidence=["Alice moved to Paris in 1921."], source="diff",
+                     label=Label.SUPPORTED, silver_question_count=3)
+
+
+class TestPlanDispatchScore:
+    @pytest.mark.parametrize("judge_cls", [HashJudgeBackend, GarblingJudge])
+    def test_matches_serial_reference(self, judge_cls):
+        rng = np.random.default_rng(101)
+        new_bk = RewardBackends(judge_cls(), HashEmbeddingBackend(), MemoryCache())
+        ref_bk = RewardBackends(judge_cls(), HashEmbeddingBackend(), MemoryCache())
+        flagged = 0
+        for _ in range(150):
+            trace = _random_trace(rng)
+            for mode in MODES:
+                new = total_reward(RECORD, trace, mode, new_bk).to_json_obj(RECORD.id)
+                ref = _ref_total_reward(RECORD, trace, mode, ref_bk).to_json_obj(RECORD.id)
+                assert json.dumps(new) == json.dumps(ref)
+                flagged += any(f.endswith("judge-parse-error") for f in new["flags"])
+        assert flagged > 0 if judge_cls is GarblingJudge else flagged == 0
+
+    def test_scoring_after_dispatch_calls_no_judge(self):
+        rng = np.random.default_rng(7)
+        traces = [_random_trace(rng) for _ in range(60)]
+        judge = CountingJudge()
+        bk = fetch_judge_replies(
+            RewardBackends(judge, HashEmbeddingBackend(), MemoryCache()),
+            (req for t in traces for req in plan_judge_requests(RECORD, parse_trace(t))))
+        fetched = judge.calls
+        assert fetched > 0
+        for trace in traces:
+            for mode in MODES:
+                total_reward(RECORD, trace, mode, bk)
+        assert judge.calls == fetched
+
+    @settings(max_examples=200, deadline=None)
+    @given(trace_texts)
+    def test_plan_is_total(self, text):
+        for template, prompt in plan_judge_requests(RECORD, parse_trace(text)):
+            assert isinstance(template, TemplateId) and isinstance(prompt, str)
 
 
 class TestPseudoLabel:

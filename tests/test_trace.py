@@ -1,6 +1,11 @@
 """Trace grammar: parsing, condition checklist, round-trip, abstention."""
 
+import re
+
 import pytest
+from conftest import trace_texts
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from claimkit.corpus import Label
 from claimkit.trace import (
@@ -10,6 +15,22 @@ from claimkit.trace import (
     is_abstention,
     parse_trace,
     render_trace,
+)
+
+TAG = re.compile(r"</?(think|question|answer|verification)>")
+
+
+def _body(min_size=0):
+    """Block content as the parser returns it: stripped, holding no tag."""
+    return st.text().map(str.strip).filter(lambda s: len(s) >= min_size and not TAG.search(s))
+
+
+traces = st.builds(
+    Trace,
+    initial_think=_body(),
+    cycles=st.lists(st.builds(Cycle, question=_body(1), answer=_body(1),
+                              post_think=st.none() | _body()), min_size=1, max_size=5),
+    verdict=st.sampled_from([Label.SUPPORTED, Label.REFUTED]),
 )
 
 VALID = (
@@ -129,6 +150,23 @@ class TestRoundTrip:
         report = parse_trace(render_trace(trace))
         assert report.trace == trace
         assert report.satisfied_fraction() == 1.0
+
+
+class TestProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(trace_texts)
+    def test_parse_is_total(self, text):
+        report = parse_trace(text)
+        assert [cid for cid, _ in report.conditions] == list(CONDITION_IDS)
+        assert 0.0 <= report.satisfied_fraction() <= 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(traces)
+    def test_render_parse_round_trip(self, trace):
+        report = parse_trace(render_trace(trace))
+        assert report.trace == trace
+        assert report.questions == [c.question for c in trace.cycles]
+        assert report.answers == [c.answer for c in trace.cycles]
 
 
 class TestAbstention:
