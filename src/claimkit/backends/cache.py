@@ -85,7 +85,8 @@ class DiskCache:
 
     def put(self, key: str, record: dict) -> dict:
         """Store a record under key; first writer wins, losers get the stored copy.
-        A file under the key that does not parse is replaced."""
+        A file under the key that does not parse is replaced. A fresh write
+        returns its own blob parsed, the same value `get` reads back."""
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         blob = json.dumps(record, sort_keys=True, ensure_ascii=False)
@@ -95,6 +96,7 @@ class DiskCache:
                 fh.write(blob)
             try:
                 os.link(tmp, path)
+                return json.loads(blob)
             except FileExistsError:
                 if self.get(key) is None:
                     os.replace(tmp, path)

@@ -18,7 +18,14 @@ from ..backends import (
     parse_question_list,
     render_prompt,
 )
-from ..corpus import ClaimRecord, EntityCounter, count_tokens, entity_count, lexical_overlap
+from ..corpus import (
+    ClaimRecord,
+    EntityCounter,
+    count_tokens,
+    entity_count,
+    overlap_with_tokens,
+    tokenize,
+)
 
 DIFFICULTY_BAND = (0.3, 0.8)
 LONG_EVIDENCE_TOKENS = 3000
@@ -49,16 +56,17 @@ def rule_violation(
     """First failing rule for a record, or None when all gates pass.
 
     Token bounds apply to the concatenated evidence, the same text later
-    stages decompose against.
+    stages decompose against. That text is tokenized once; the two length
+    gates and the overlap gate share the token list.
     """
     if len(record.evidence) < thresholds.min_passages:
         return "too-few-passages"
-    tokens = count_tokens(record.evidence_text())
-    if tokens < thresholds.min_evidence_tokens:
+    evidence = tokenize(record.evidence_text())
+    if len(evidence) < thresholds.min_evidence_tokens:
         return "too-short"
-    if tokens > thresholds.max_evidence_tokens:
+    if len(evidence) > thresholds.max_evidence_tokens:
         return "too-long"
-    if lexical_overlap(record.claim, record.evidence_text()) >= thresholds.max_lexical_overlap:
+    if overlap_with_tokens(record.claim, evidence) >= thresholds.max_lexical_overlap:
         return "high-overlap"
     if entity_count(record.claim, ner) < thresholds.min_entities:
         return "too-few-entities"

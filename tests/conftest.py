@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import re
 import threading
+import unicodedata
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import numpy as np
@@ -82,6 +83,75 @@ _TRACE_PIECES = ("<think>", "</think>", "<question>", "</question>", "<answer>",
                  "<verification>", "</verification>", "Supported", "Refuted", "I don't know",
                  "Is it stated?", "Yes.", " ", "\n", "<", ">", "x")
 trace_texts = st.one_of(st.text(), st.lists(st.sampled_from(_TRACE_PIECES)).map("".join))
+
+
+# The tokenizer as it was before `_strip_punct` gained its isalnum() fast path:
+# every edge character's Unicode category is looked up. Reference for the
+# equivalence tests of tokenize, count_tokens, entity spans and the rule gates.
+def ref_strip_punct(token: str) -> str:
+    start, end = 0, len(token)
+    while start < end and unicodedata.category(token[start]).startswith("P"):
+        start += 1
+    while end > start and unicodedata.category(token[end - 1]).startswith("P"):
+        end -= 1
+    return token[start:end]
+
+
+def ref_tokenize(text: str) -> list[str]:
+    out = []
+    for raw in text.split():
+        tok = ref_strip_punct(raw)
+        if tok:
+            out.append(tok)
+    return out
+
+
+class RefEntityCounter:
+    """HeuristicEntityCounter as it was, re-stripping a token at every look."""
+
+    def entity_spans(self, text: str) -> list[tuple[int, int]]:
+        raw_tokens = text.split()
+        sentence_initial = set()
+        prev_ends_sentence = True
+        for i, raw in enumerate(raw_tokens):
+            if prev_ends_sentence:
+                sentence_initial.add(i)
+            prev_ends_sentence = raw.rstrip('"\')').endswith((".", "!", "?"))
+        def capitalized(idx: int) -> bool:
+            core = ref_strip_punct(raw_tokens[idx])
+            return bool(core) and core[0].isupper()
+
+        spans: list[tuple[int, int]] = []
+        i = 0
+        n = len(raw_tokens)
+        while i < n:
+            if capitalized(i):
+                j = i
+                while j < n and capitalized(j):
+                    j += 1
+                if i not in sentence_initial:
+                    spans.append((i, j))
+                i = j
+            else:
+                i += 1
+        return spans
+
+
+# Every character str.split() splits on, across the Unicode whitespace classes.
+UNICODE_WHITESPACE = "".join(c for c in map(chr, range(0x3001)) if c.isspace())
+
+# Text mixing the classes the tokenizer treats differently: P* punctuation,
+# letters, digits and other numbers, combining marks, S* symbols and
+# whitespace, plus ASCII sentence punctuation, which entity spans look at.
+tokenizer_texts = st.text(st.one_of(
+    st.characters(categories=["P"]),
+    st.characters(categories=["L"]),
+    st.characters(categories=["N"]),
+    st.characters(categories=["M"]),
+    st.characters(categories=["S"]),
+    st.sampled_from(UNICODE_WHITESPACE),
+    st.sampled_from("AZaz09.!?,;:\"'()-"),
+), max_size=80)
 
 
 class PlantedEmbedding:

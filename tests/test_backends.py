@@ -94,6 +94,26 @@ class TestCache:
         # sharded layout: two-hex-char subdirectory
         assert (tmp_path / "c" / key[:2] / f"{key}.json").exists()
 
+    def test_fresh_put_reads_no_file_and_returns_what_get_reads(self, tmp_path, monkeypatch):
+        cache = DiskCache(tmp_path / "c")
+        key = cache_key("t", "p", "b")
+        record = {"response": "héllo", "vector": (0.5, 1), "nested": {"b": 1, "a": None}}
+        reads = []
+        real_open = open
+
+        def spy_open(file, mode="r", *args, **kwargs):
+            if not any(flag in mode for flag in "wax+"):
+                reads.append(file)
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", spy_open)
+        stored = cache.put(key, record)
+        assert reads == []
+        assert stored == cache.get(key)
+        assert reads != []  # the spy does see get's read
+        assert stored["vector"] == [0.5, 1]  # the tuple comes back as a list
+        assert list(stored) == sorted(record)
+
     def test_first_writer_wins(self, tmp_path):
         cache = DiskCache(tmp_path / "c")
         key = cache_key("t", "p", "b")

@@ -1,8 +1,11 @@
 """Corpus ingestion, tokenization, overlap, and entity counting."""
 
 import json
+import unicodedata
 
 import pytest
+from conftest import RefEntityCounter, ref_tokenize, tokenizer_texts
+from hypothesis import example, given, settings
 
 from claimkit.corpus import (
     ClaimRecord,
@@ -88,6 +91,28 @@ class TestTokenize:
 
     def test_internal_punctuation_kept(self):
         assert tokenize("o'clock, state-of-the-art") == ["o'clock", "state-of-the-art"]
+
+    def test_no_alphanumeric_code_point_is_punctuation(self):
+        # The fast path returns a token with alphanumeric ends unstripped; that
+        # is exact only while this holds in the running Unicode database.
+        offenders = [hex(cp) for cp in range(0x110000)
+                     if chr(cp).isalnum() and unicodedata.category(chr(cp)).startswith("P")]
+        assert offenders == []
+
+    @settings(max_examples=400, deadline=None)
+    @given(tokenizer_texts)
+    @example("")
+    @example("... \u00bfQu\u00e9? \u00ab\u00bb a\u0301. \u00b2\u2026 \u2014 $5 (x) \u0661\u0662,")
+    @example("\u3001\u4e2d\u6587\u3002 A\u2028B\u3000c")
+    def test_tokenize_and_count_match_reference(self, text):
+        expected = ref_tokenize(text)
+        assert tokenize(text) == expected
+        assert count_tokens(text) == len(expected)
+
+    @settings(max_examples=400, deadline=None)
+    @given(tokenizer_texts)
+    def test_entity_spans_match_reference(self, text):
+        assert HeuristicEntityCounter().entity_spans(text) == RefEntityCounter().entity_spans(text)
 
 
 class TestLexicalOverlap:

@@ -7,10 +7,18 @@ import string
 
 import numpy as np
 import pytest
-from conftest import PlantedEmbedding
+from conftest import PlantedEmbedding, RefEntityCounter, ref_tokenize
 
 from claimkit.backends import MemoryCache, embed
-from claimkit.corpus import ClaimRecord, HeuristicEntityCounter, Label, write_claims
+from claimkit.corpus import (
+    STOPWORDS,
+    ClaimRecord,
+    HeuristicEntityCounter,
+    Label,
+    entity_count,
+    lexical_overlap,
+    write_claims,
+)
 from claimkit.funnel import (
     FunnelConfig,
     FunnelReport,
@@ -35,6 +43,7 @@ from claimkit.funnel import (
     silver_stage,
     stage_seed,
 )
+from claimkit.funnel.stages import rule_violation
 from claimkit.mock import HashJudgeBackend
 from claimkit.synthetic import funnel_corpus, holdout_corpus
 
@@ -518,6 +527,97 @@ class TestStages:
         # superset of the selection, no duplicates
         out2 = long_evidence_augment([picked], [picked])
         assert [r.id for r in out2] == ["sel"]
+
+
+# The rule gate as it was before the evidence was tokenized once per record:
+# the evidence text is rebuilt and tokenized by the counting gate and again
+# by the overlap gate, with the reference tokenizer from conftest.
+def ref_lexical_overlap(claim, evidence):
+    claim_tokens = [t.lower() for t in ref_tokenize(claim)]
+    if not claim_tokens:
+        raise ValueError("claim must be non-empty")
+    content = {t for t in claim_tokens if t not in STOPWORDS}
+    if not content:
+        content = set(claim_tokens)
+    evidence_tokens = {t.lower() for t in ref_tokenize(evidence)}
+    hit = sum(1 for t in content if t in evidence_tokens)
+    return hit / len(content)
+
+
+def ref_rule_violation(record, thresholds, ner):
+    if len(record.evidence) < thresholds.min_passages:
+        return "too-few-passages"
+    tokens = len(ref_tokenize(record.evidence_text()))
+    if tokens < thresholds.min_evidence_tokens:
+        return "too-short"
+    if tokens > thresholds.max_evidence_tokens:
+        return "too-long"
+    if ref_lexical_overlap(record.claim, record.evidence_text()) >= thresholds.max_lexical_overlap:
+        return "high-overlap"
+    if entity_count(record.claim, ner) < thresholds.min_entities:
+        return "too-few-entities"
+    return None
+
+
+# Edge punctuation and punctuation-only tokens, ASCII and not: the tokenizer
+# strips the first kind and drops the second.
+EDGE_PUNCT = list(".,;:!?\"'()[]{}-") + ["\u00ab", "\u00bb", "\u201c", "\u201d", "\u00bf",
+                                          "\u00a1", "\u2014", "\u2026", "\u3001", "\u3002"]
+PUNCT_TOKENS = ["\u2014", "...", "\u00ab\u00bb", "\u00bf\u00a1", "--", "\u3002", "(!)"]
+
+
+def punctuated(text, rng):
+    words = []
+    for word in text.split():
+        if rng.random() < 0.3:
+            word = rng.choice(EDGE_PUNCT) + word
+        if rng.random() < 0.3:
+            word += rng.choice(EDGE_PUNCT)
+        words.append(word)
+        if rng.random() < 0.1:
+            words.append(rng.choice(PUNCT_TOKENS))
+    return " ".join(words)
+
+
+def padded(record, n_tokens, rng):
+    """The record with three passages holding n_tokens tokens plus as many
+    punctuation-only tokens: raw whitespace counts run far above the gates."""
+    words = ref_tokenize(record.evidence_text())
+    words = (words * (n_tokens // len(words) + 1))[:n_tokens]
+    noisy = [w for word in words for w in (word, rng.choice(PUNCT_TOKENS))]
+    third = len(noisy) // 3
+    evidence = [" ".join(noisy[:third]), " ".join(noisy[third:2 * third]),
+                " ".join(noisy[2 * third:])]
+    return ClaimRecord(id=record.id, claim=record.claim, evidence=evidence,
+                       source=record.source, label=record.label)
+
+
+class TestRuleViolationDifferential:
+    def test_matches_reference_on_corpus_and_punctuated_variants(self):
+        rng = random.Random(5)
+        th = RuleThresholds()
+        base = funnel_corpus()
+        variants = [
+            ClaimRecord(id=r.id, claim=punctuated(r.claim, rng),
+                        evidence=[punctuated(p, rng) for p in r.evidence],
+                        source=r.source, label=r.label)
+            for r in base
+        ]
+        clean = next(r for r in base if rule_violation(r, th, HeuristicEntityCounter()) is None)
+        edges = [th.min_evidence_tokens - 1, th.min_evidence_tokens,
+                 th.max_evidence_tokens, th.max_evidence_tokens + 1]
+        boundary = [padded(clean, n, rng) for n in edges]
+        reasons = {}
+        for record in base + variants + boundary:
+            reason = rule_violation(record, th, HeuristicEntityCounter())
+            assert reason == ref_rule_violation(record, th, RefEntityCounter()), record.id
+            assert lexical_overlap(record.claim, record.evidence_text()) == \
+                ref_lexical_overlap(record.claim, record.evidence_text()), record.id
+            reasons[id(record)] = reason
+        assert {reasons[id(r)] for r in variants} == {
+            None, "too-few-passages", "too-short", "too-long", "high-overlap",
+            "too-few-entities"}
+        assert [reasons[id(r)] for r in boundary] == ["too-short", None, None, "too-long"]
 
 
 class TestReport:
