@@ -6,6 +6,7 @@ from .difficulty import (
     HttpVerifierBackend,
     VerifierBackend,
     difficulty_score,
+    difficulty_scores,
 )
 from .embeddings import (
     EmbeddingBackend,
@@ -59,6 +60,7 @@ __all__ = [
     "cache_key",
     "cosine",
     "difficulty_score",
+    "difficulty_scores",
     "embed",
     "judge_generate",
     "judge_generate_many",

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Protocol
+from typing import Protocol, Sequence
 
 from ..corpus import ClaimRecord, Label
-from .cache import Cache, cache_key
-from .transport import FixtureBackend, HttpBackend
+from .cache import Cache, MemoryCache, cache_key
+from .transport import FixtureBackend, HttpBackend, fetch_cached
 
 
 class VerifierBackend(Protocol):
@@ -36,22 +36,30 @@ def difficulty_score(
     verifier: VerifierBackend,
     cache: Cache | None = None,
 ) -> float:
-    """Label-aligned confidence: the verifier's probability on the gold label."""
-    if record.label is None:
-        raise ValueError(f"record {record.id!r} has no gold label; difficulty needs one")
-    p_supported: float
-    key = None
-    if cache is not None:
-        key = cache_key("difficulty", record.claim + "\x00" + record.evidence_text(),
-                        verifier.backend_id)
-        hit = cache.get(key)
-        if hit is not None:
-            p_supported = hit["p_supported"]
-        else:
-            p_supported = verifier.probability_supported(record.claim, record.evidence)
-            p_supported = cache.put(key, {"p_supported": p_supported})["p_supported"]
-    else:
-        p_supported = verifier.probability_supported(record.claim, record.evidence)
-    if not 0.0 <= p_supported <= 1.0:
-        raise ValueError(f"verifier probability out of range: {p_supported}")
-    return p_supported if record.label is Label.SUPPORTED else 1.0 - p_supported
+    """The one-record case of `difficulty_scores`."""
+    return difficulty_scores([record], verifier, cache)[0]
+
+
+def difficulty_scores(records: Sequence[ClaimRecord], verifier: VerifierBackend,
+                      cache: Cache | None = None) -> list[float]:
+    """Label-aligned confidence per record: the verifier's probability on the
+    gold label. Every record is checked before one `fetch_cached` call, which
+    asks about each distinct (claim, evidence) once; cache=None caches in memory."""
+    keys = []
+    for record in records:
+        if record.label is None:
+            raise ValueError(f"record {record.id!r} has no gold label; difficulty needs one")
+        keys.append(cache_key("difficulty", record.claim + "\x00" + record.evidence_text(),
+                              verifier.backend_id))
+    stored = fetch_cached(
+        verifier, MemoryCache() if cache is None else cache, zip(keys, records),
+        lambda batch: [{"p_supported": verifier.probability_supported(r.claim, r.evidence)}
+                       for r in batch],
+    )
+    scores = []
+    for record, key in zip(records, keys):
+        p_supported = stored[key]["p_supported"]
+        if not 0.0 <= p_supported <= 1.0:
+            raise ValueError(f"verifier probability out of range: {p_supported}")
+        scores.append(p_supported if record.label is Label.SUPPORTED else 1.0 - p_supported)
+    return scores

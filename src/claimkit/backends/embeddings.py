@@ -2,7 +2,7 @@
 
 Vectors are L2-normalized on receipt, so cosine is a plain dot product.
 Cache entries are keyed by text hash + backend id; repeated texts in one
-batch coalesce into a single backend call.
+batch coalesce, and the misses reach the backend EMBED_CHUNK texts per call.
 """
 
 from __future__ import annotations
@@ -12,7 +12,9 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .cache import Cache, cache_key
-from .transport import FixtureBackend, HttpBackend, ProtocolError
+from .transport import FixtureBackend, HttpBackend, ProtocolError, fetch_cached
+
+EMBED_CHUNK = 64  # texts per embedding request
 
 
 class EmbeddingBackend(Protocol):
@@ -51,20 +53,13 @@ def _normalize(vector: Sequence[float]) -> np.ndarray:
 def embed(texts: list[str], backend: EmbeddingBackend, cache: Cache) -> np.ndarray:
     """Embed a batch, returning an (n, d) array of unit-norm rows in input order."""
     keys = [cache_key("embedding", text, backend.backend_id) for text in texts]
-    vectors: dict[str, list[float]] = {}
-    missing: dict[str, str] = {}  # cache key -> text, in first-seen order
-    for text, key in zip(texts, keys):
-        hit = cache.get(key)
-        if hit is not None:
-            vectors[key] = hit["vector"]
-        else:
-            missing.setdefault(key, text)
-    if missing:
-        fresh = backend.embed_texts(list(missing.values()))
-        for key, vec in zip(missing, fresh):
-            stored = cache.put(key, {"backend_id": backend.backend_id, "vector": list(vec)})
-            vectors[key] = stored["vector"]
-    rows = [_normalize(vectors[key]) for key in keys]
+    stored = fetch_cached(
+        backend, cache, zip(keys, texts),
+        lambda batch: [{"backend_id": backend.backend_id, "vector": list(vec)}
+                       for vec in backend.embed_texts(batch)],
+        chunk=EMBED_CHUNK,
+    )
+    rows = [_normalize(stored[key]["vector"]) for key in keys]
     dims = {row.shape[0] for row in rows}
     if len(dims) > 1:
         raise ValueError(f"dimension mismatch within batch: {sorted(dims)}")

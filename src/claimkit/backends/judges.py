@@ -7,11 +7,11 @@ map that onto any model server.
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from typing import Callable, Iterable, Protocol
+from dataclasses import asdict
+from typing import Iterable, Protocol
 
 from .cache import Cache, DecodingParams, cache_key, prompt_digest
-from .transport import MAX_IN_FLIGHT, FixtureBackend, HttpBackend
+from .transport import FixtureBackend, HttpBackend, fetch_cached
 
 
 class JudgeParseError(ValueError):
@@ -69,61 +69,23 @@ def judge_generate_many(
     """Cached generation for many (template id, prompt) requests.
 
     Returns {(template id, prompt_digest(prompt)): reply}. Each distinct
-    request is read from the cache once, and each distinct miss makes one
-    backend call whose reply is stored (single-flight). Misses go to an
-    `HttpBackend` up to MAX_IN_FLIGHT at a time; any other backend answers
-    in memory, so it is called one miss at a time in request order. When a
-    call fails, no further call starts, the calls in flight finish and are
-    stored, and the error of the earliest failed request is raised.
+    request is fetched once through `fetch_cached`, one prompt per call.
     """
-    replies: dict[tuple[str, str], str] = {}
-    misses: dict[tuple[str, str], tuple[str, str]] = {}  # reply key -> (cache key, prompt)
+    plan: dict[tuple[str, str], tuple] = {}  # reply key -> (cache key, (reply key, prompt))
     for template_id, prompt in requests:
         reply_key = (template_id, prompt_digest(prompt))
-        if reply_key in replies or reply_key in misses:
-            continue
-        key = cache_key(template_id, prompt, backend.backend_id, params)
-        hit = cache.get(key)
-        if hit is None:
-            misses[reply_key] = (key, prompt)
-        else:
-            replies[reply_key] = hit["response"]
+        if reply_key not in plan:
+            key = cache_key(template_id, prompt, backend.backend_id, params)
+            plan[reply_key] = (key, (reply_key, prompt))
 
-    def fetch(reply_key: tuple[str, str]) -> str:
-        key, prompt = misses[reply_key]
-        text = backend.generate(prompt, params)
-        stored = cache.put(
-            key,
-            {
-                "template_id": reply_key[0],
-                "backend_id": backend.backend_id,
-                "prompt_digest": reply_key[1],
-                "params": {
-                    "temperature": params.temperature,
-                    "seed": params.seed,
-                    "max_tokens": params.max_tokens,
-                },
-                "response": text,
-            },
-        )
-        return stored["response"]
+    def call(batch: list[tuple[tuple[str, str], str]]) -> list[dict]:
+        return [{
+            "template_id": template_id,
+            "backend_id": backend.backend_id,
+            "prompt_digest": digest,
+            "params": asdict(params),
+            "response": backend.generate(prompt, params),
+        } for (template_id, digest), prompt in batch]
 
-    if len(misses) > 1 and isinstance(backend, HttpBackend):
-        replies.update(_fetch_concurrently(fetch, list(misses)))
-    else:
-        for reply_key in misses:
-            replies[reply_key] = fetch(reply_key)
-    return replies
-
-
-def _fetch_concurrently(fetch: Callable[[tuple[str, str]], str],
-                        keys: list[tuple[str, str]]) -> dict[tuple[str, str], str]:
-    with ThreadPoolExecutor(MAX_IN_FLIGHT) as pool:
-        futures = [pool.submit(fetch, k) for k in keys]
-        wait(futures, return_when=FIRST_EXCEPTION)
-        for future in futures:
-            future.cancel()  # only calls not yet started; leaving `with` waits for the rest
-    for future in futures:  # request order, so the earliest failure is raised
-        if not future.cancelled() and future.exception() is not None:
-            raise future.exception()
-    return {k: future.result() for k, future in zip(keys, futures)}
+    records = fetch_cached(backend, cache, plan.values(), call)
+    return {reply_key: records[key]["response"] for reply_key, (key, _) in plan.items()}

@@ -4,7 +4,7 @@ Subcommands: `funnel run`, `funnel report`, `dedup`, `decontaminate`,
 `select`, `score`, `score-group`, and `eval`. Exit codes: 0 success,
 1 stage or backend failure (single machine-parseable error line on
 stderr), 2 usage error. All output files are written atomically, and any
-fixed --workers/--seed pair reproduces byte-identical artifacts.
+--seed reproduces byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class UsageError(ValueError):
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="has no effect on any command")
     p.add_argument("--cache-dir", default=".claimkit-cache")
     p.add_argument("--dry-run", action="store_true",
                    help="validate inputs and config, write nothing")

@@ -14,7 +14,6 @@ from .run import (
     FunnelReport,
     StageReport,
     atomic_write_text,
-    make_pmap,
     run_funnel,
     select_stratified,
     stage_seed,
@@ -61,7 +60,6 @@ __all__ = [
     "hash64",
     "lazy_greedy",
     "long_evidence_augment",
-    "make_pmap",
     "naive_greedy",
     "rule_filter",
     "run_funnel",

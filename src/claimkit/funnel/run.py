@@ -13,10 +13,9 @@ import hashlib
 import json
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..backends import Cache, DecodingParams, DiskCache, EmbeddingBackend, embed
 from ..corpus import ClaimRecord, IngestError, ingest_claims
@@ -153,19 +152,6 @@ def stage_seed(seed: int, stage: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-def make_pmap(workers: int) -> Callable:
-    """Order-preserving parallel map; workers=1 degrades to a plain loop."""
-    if workers <= 1:
-        return lambda fn, xs: [fn(x) for x in xs]
-
-    def pmap(fn, xs):
-        xs = list(xs)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, xs))
-
-    return pmap
-
-
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write via temp file + rename so readers never see partial output."""
     path = Path(path)
@@ -237,8 +223,9 @@ def run_funnel(
     config: FunnelConfig,
     workers: int = 1,
 ) -> tuple[list[ClaimRecord], FunnelReport]:
-    """Execute every curation stage in order and account for each record."""
-    pmap = make_pmap(workers)
+    """Execute every curation stage in order and account for each record.
+
+    `workers` is ignored; it is kept so that existing callers still work."""
     cache = DiskCache(config.cache_dir)
     judge = build_judge_backend(config.backends["judge"])
     embedding = build_embedding_backend(config.backends["embedding"])
@@ -249,11 +236,11 @@ def run_funnel(
     records = _load_inputs(config.inputs, "input")
     report = FunnelReport()
 
-    kept, rejected = rule_filter(records, config.thresholds, ner, pmap)
+    kept, rejected = rule_filter(records, config.thresholds, ner)
     report.add("rule_filter", len(records), len(kept), rejected)
     records = kept
 
-    kept, rejected = difficulty_filter(records, verifier, cache, pmap=pmap)
+    kept, rejected = difficulty_filter(records, verifier, cache)
     report.add("difficulty_filter", len(records), len(kept), rejected)
     records = kept
 
@@ -279,7 +266,7 @@ def run_funnel(
     report.add("decontaminate", len(records), len(kept), rejected)
     records = kept
 
-    kept, rejected = silver_stage(records, judge, cache, params, pmap)
+    kept, rejected = silver_stage(records, judge, cache, params)
     report.add("silver_decompose", len(records), len(kept), rejected)
     records = kept
 

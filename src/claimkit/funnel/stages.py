@@ -4,7 +4,7 @@ and the long-evidence augmentation pass."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Iterable, Sequence
 
 from ..backends import (
     Cache,
@@ -13,11 +13,15 @@ from ..backends import (
     JudgeParseError,
     TemplateId,
     VerifierBackend,
-    difficulty_score,
+    difficulty_scores,
     judge_generate,
+    judge_generate_many,
     parse_question_list,
+    prompt_digest,
     render_prompt,
 )
+# Unused here, but perfbench/tracing.py wraps this module-level name.
+from ..backends import difficulty_score  # noqa: F401
 from ..corpus import (
     ClaimRecord,
     EntityCounter,
@@ -73,19 +77,10 @@ def rule_violation(
     return None
 
 
-def rule_filter(
-    records: Sequence[ClaimRecord],
-    thresholds: RuleThresholds,
-    ner: EntityCounter,
-    pmap: Callable | None = None,
-) -> tuple[list[ClaimRecord], list[tuple[ClaimRecord, str]]]:
-    mapper = pmap or (lambda fn, xs: [fn(x) for x in xs])
-    try:
-        reasons = mapper(lambda rec: rule_violation(rec, thresholds, ner), records)
-    except Exception as exc:
-        raise StageError("rule_filter", str(exc)) from exc
+def _partition(outcomes: Iterable[tuple[ClaimRecord, str | None]]) -> tuple[list, list]:
+    """Kept records (reason None) and (record, reason) rejections, in order."""
     kept, rejected = [], []
-    for rec, reason in zip(records, reasons):
+    for rec, reason in outcomes:
         if reason is None:
             kept.append(rec)
         else:
@@ -93,28 +88,38 @@ def rule_filter(
     return kept, rejected
 
 
+def rule_filter(
+    records: Sequence[ClaimRecord],
+    thresholds: RuleThresholds,
+    ner: EntityCounter,
+) -> tuple[list[ClaimRecord], list[tuple[ClaimRecord, str]]]:
+    try:
+        reasons = [rule_violation(rec, thresholds, ner) for rec in records]
+    except Exception as exc:
+        raise StageError("rule_filter", str(exc)) from exc
+    return _partition(zip(records, reasons))
+
+
 def difficulty_filter(
     records: Sequence[ClaimRecord],
     verifier: VerifierBackend,
     cache: Cache | None = None,
     band: tuple[float, float] = DIFFICULTY_BAND,
-    pmap: Callable | None = None,
 ) -> tuple[list[ClaimRecord], list[tuple[ClaimRecord, str]]]:
     """Keep records whose label-aligned verifier confidence lies in the band
     (inclusive): hard enough to teach, easy enough to learn from."""
-    mapper = pmap or (lambda fn, xs: [fn(x) for x in xs])
     lo, hi = band
     try:
-        scores = mapper(lambda rec: difficulty_score(rec, verifier, cache), records)
+        scores = difficulty_scores(records, verifier, cache)
     except Exception as exc:
         raise StageError("difficulty_filter", str(exc)) from exc
-    kept, rejected = [], []
-    for rec, p in zip(records, scores):
-        if lo <= p <= hi:
-            kept.append(rec)
-        else:
-            rejected.append((rec, "difficulty-out-of-band"))
-    return kept, rejected
+    return _partition((rec, None if lo <= p <= hi else "difficulty-out-of-band")
+                      for rec, p in zip(records, scores))
+
+
+def _silver_prompt(record: ClaimRecord) -> str:
+    return render_prompt(TemplateId.SILVER_DECOMPOSE,
+                         {"evidence_doc": record.evidence_text(), "claim": record.claim})
 
 
 def silver_decompose(
@@ -125,15 +130,9 @@ def silver_decompose(
 ) -> ClaimRecord:
     """Ask the generation backend for the minimal question decomposition and
     store its size as the record's n-star. Unparsable replies raise."""
-    params = params or DecodingParams()
-    prompt = render_prompt(
-        TemplateId.SILVER_DECOMPOSE,
-        {"evidence_doc": record.evidence_text(), "claim": record.claim},
-    )
-    reply = judge_generate(judge, prompt, params, cache,
+    reply = judge_generate(judge, _silver_prompt(record), params or DecodingParams(), cache,
                            template_id=TemplateId.SILVER_DECOMPOSE.value)
-    questions = parse_question_list(reply)
-    return record.with_silver_count(len(questions))
+    return record.with_silver_count(len(parse_question_list(reply)))
 
 
 def silver_stage(
@@ -141,29 +140,24 @@ def silver_stage(
     judge: JudgeBackend,
     cache: Cache,
     params: DecodingParams | None = None,
-    pmap: Callable | None = None,
 ) -> tuple[list[ClaimRecord], list[tuple[ClaimRecord, str]]]:
-    mapper = pmap or (lambda fn, xs: [fn(x) for x in xs])
+    """`silver_decompose` for every record, all prompts in one `judge_generate_many`."""
+    template = TemplateId.SILVER_DECOMPOSE.value
 
-    def one(rec: ClaimRecord) -> ClaimRecord | None:
+    def outcome(rec: ClaimRecord, prompt: str) -> tuple[ClaimRecord, str | None]:
         try:
-            return silver_decompose(rec, judge, cache, params)
+            n = len(parse_question_list(replies[(template, prompt_digest(prompt))]))
         except JudgeParseError:
-            return None
+            return rec, "silver-unparsable"
+        return (rec.with_silver_count(n), None) if n >= 2 else (rec, "too-few-silver-questions")
 
     try:
-        results = mapper(one, records)
+        prompts = [_silver_prompt(rec) for rec in records]
+        replies = judge_generate_many(judge, [(template, p) for p in prompts],
+                                      params or DecodingParams(), cache)
+        return _partition([outcome(rec, p) for rec, p in zip(records, prompts)])
     except Exception as exc:
         raise StageError("silver_decompose", str(exc)) from exc
-    kept, rejected = [], []
-    for rec, updated in zip(records, results):
-        if updated is None:
-            rejected.append((rec, "silver-unparsable"))
-        elif updated.silver_question_count >= 2:
-            kept.append(updated)
-        else:
-            rejected.append((rec, "too-few-silver-questions"))
-    return kept, rejected
 
 
 def long_evidence_augment(

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import strategies as st
 
 from claimkit.backends import DecodingParams
-from claimkit.mock import HashJudgeBackend
+from claimkit.mock import HashEmbeddingBackend, HashJudgeBackend, HashVerifierBackend
 
 ANSWERS_BLOCK = re.compile(r"<answers>\n(.*?)\n</answers>", re.DOTALL)
 QUESTION_BLOCK = re.compile(r"<question>\n(.*?)\n</question>", re.DOTALL)
@@ -239,4 +239,42 @@ def judge_server(monkeypatch):
     server.prompts = []
     mock = HashJudgeBackend()
     server.respond = lambda prompt: (200, mock.generate(prompt, DecodingParams()))
+    yield from _serve(server)
+
+
+class _RelayHandler(_QuietHandler):
+    """Serves the judge, embedding and verifier wire protocols at /judge,
+    /embed and /verify, answering as the mock backends do."""
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers.get("Content-Length", 0))))
+        kind = self.path.strip("/")
+        mock = self.server.mocks[kind]
+        if kind == "judge":
+            params = DecodingParams(body["temperature"], body["seed"], body["max_tokens"])
+            item, reply = body["prompt"], {"text": mock.generate(body["prompt"], params)}
+        elif kind == "embed":
+            item, reply = body["texts"], {"vectors": mock.embed_texts(body["texts"])}
+        else:
+            item = (body["claim"], tuple(body["evidence"]))
+            reply = {"p_supported": mock.probability_supported(body["claim"], body["evidence"])}
+        with self.server.lock:
+            self.server.seen[kind].append(item)
+        status = self.server.status.get(kind, 200)
+        self._send(status, json.dumps(reply).encode() if status == 200 else b"{}")
+
+
+@pytest.fixture()
+def relay_server(monkeypatch):
+    """Threaded server on 127.0.0.1 relaying the mock judge, embedder and
+    verifier. `server.seen[kind]` lists each request's prompt, text batch or
+    (claim, evidence) pair; `server.status[kind]` makes that kind reply with
+    another status."""
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    server = _ThreadedServer(("127.0.0.1", 0), _RelayHandler)
+    server.lock = threading.Lock()
+    server.mocks = {"judge": HashJudgeBackend(), "embed": HashEmbeddingBackend(),
+                    "verify": HashVerifierBackend()}
+    server.seen = {kind: [] for kind in server.mocks}
+    server.status = {}
     yield from _serve(server)

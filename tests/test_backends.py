@@ -2,6 +2,7 @@
 difficulty scoring."""
 
 import json
+import re
 import threading
 import time
 
@@ -27,6 +28,7 @@ from claimkit.backends import (
     cache_key,
     cosine,
     difficulty_score,
+    difficulty_scores,
     embed,
     judge_generate,
     judge_generate_many,
@@ -39,7 +41,13 @@ from claimkit.backends import (
     template_slots,
 )
 from claimkit.backends import transport
-from claimkit.backends.transport import MAX_IN_FLIGHT, RETRIES, RETRY_AFTER_MAX_S
+from claimkit.backends.embeddings import EMBED_CHUNK
+from claimkit.backends.transport import (
+    MAX_IN_FLIGHT,
+    RETRIES,
+    RETRY_AFTER_MAX_S,
+    RETRY_BACKOFF_S,
+)
 from claimkit.corpus import ClaimRecord, Label
 from claimkit.mock import HashEmbeddingBackend, HashJudgeBackend, HashVerifierBackend
 
@@ -159,10 +167,11 @@ class TestJudgePlumbing:
         assert backend.generate("hello", DecodingParams()) == "hi"
         with pytest.raises(TransportError):
             backend.generate("unknown prompt", DecodingParams())
-        with open(path, "a") as fh:
-            fh.write(json.dumps({"digest": prompt_digest("bye")}) + "\n")
-        with pytest.raises(ValueError, match="line 2"):
-            FixtureJudgeBackend(path)
+        first_row = path.read_text()
+        for bad_row in (json.dumps({"digest": prompt_digest("bye")}), "not json"):
+            path.write_text(first_row + bad_row + "\n")
+            with pytest.raises(ValueError, match=re.escape(f"{path} line 2: fixture rows need")):
+                FixtureJudgeBackend(path)
 
     def test_judge_generate_caches(self, tmp_path):
         calls = []
@@ -310,6 +319,19 @@ class TestEmbeddings:
         # each distinct miss reaches the backend once, in first-seen order
         assert sent == [["gamma", "delta"]]
 
+        gets = []
+
+        class CountingCache(MemoryCache):
+            def get(self, key):
+                gets.append(key)
+                return super().get(key)
+
+        sent.clear()
+        texts = [f"text {i}" for i in range(2 * EMBED_CHUNK + 1)]
+        embed(texts + texts, Counting(), CountingCache())
+        assert sent == [texts[:EMBED_CHUNK], texts[EMBED_CHUNK:-1], texts[-1:]]
+        assert len(gets) == len(texts)  # one cache read per distinct text
+
     def test_fixture_embedding(self, tmp_path):
         path = tmp_path / "vec.jsonl"
         with open(path, "w") as fh:
@@ -356,6 +378,26 @@ class TestDifficulty:
         backend = FixtureVerifierBackend(path)
         assert difficulty_score(self._record(Label.SUPPORTED), backend) == 0.4
 
+    def test_scores_fetch_each_distinct_record_once(self):
+        asked = []
+
+        class Counting(HashVerifierBackend):
+            def probability_supported(self, claim, evidence):
+                asked.append(claim)
+                return super().probability_supported(claim, evidence)
+
+        records = [ClaimRecord(id=str(i), claim=claim, evidence=["e"], source="s",
+                               label=label)
+                   for i, (claim, label) in enumerate([("a", Label.SUPPORTED),
+                                                       ("b", Label.REFUTED),
+                                                       ("a", Label.SUPPORTED)])]
+        scores = difficulty_scores(records, Counting())  # no cache: replies kept per call
+        assert asked == ["a", "b"]
+        assert scores == [difficulty_score(r, HashVerifierBackend()) for r in records]
+        with pytest.raises(ValueError, match="no gold label"):
+            difficulty_scores(records + [self._record(None)], Counting())
+        assert asked == ["a", "b"]  # every record is checked before any call
+
     def test_cached_score_stable(self, tmp_path):
         cache = DiskCache(tmp_path / "c")
         backend = HashVerifierBackend()
@@ -385,11 +427,15 @@ class TestHttpFaults:
         assert self._call(kind, loopback) == value
         assert loopback.requests == 1
 
-    def test_5xx_retried_then_transport_error(self, kind, loopback):
+    def test_5xx_retried_then_transport_error(self, kind, loopback, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(transport.time, "sleep", sleeps.append)
         loopback.reply = (503, b"{}")
         with pytest.raises(TransportError):
             self._call(kind, loopback)
         assert loopback.requests == 3
+        # no Retry-After: an exponential backoff before each retry, none after the last
+        assert sleeps == [RETRY_BACKOFF_S * 2 ** i for i in range(RETRIES)]
 
     def test_4xx_is_protocol_error_at_once(self, kind, loopback):
         loopback.reply = (404, b"{}")

@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from claimkit.backends.embeddings import EMBED_CHUNK
 from claimkit.cli import dispatch
-from claimkit.corpus import ClaimRecord, Label, ingest_claims, write_claims
-from claimkit.funnel import FunnelReport
+from claimkit.corpus import ClaimRecord, HeuristicEntityCounter, Label, ingest_claims, write_claims
+from claimkit.funnel import FunnelReport, RuleThresholds, rule_filter
 from claimkit.synthetic import funnel_corpus, holdout_corpus
 
 VALID_TRACE = (
@@ -257,6 +258,60 @@ class TestScoring:
         bad.write_text(json.dumps({"id": "ghost", "trace": "x"}) + "\n")
         assert dispatch(["score", "--traces", str(bad), "--claims", str(claims),
                          "--out", str(tmp_path / "o.jsonl")]) == 2
+
+
+class TestFunnelHttpBackends:
+    """`funnel run` with its judge, embedder and verifier on a loopback server
+    that relays the mock backends."""
+
+    def _run(self, tmp_path, corpus_files, backends, cache, tag):
+        claims, hold = corpus_files
+        cfg = tmp_path / f"cfg-{tag}.json"
+        cfg.write_text(json.dumps({"inputs": [str(claims)], "holdouts": [str(hold)],
+                                   "budget": 10, "seed": 3, "backends": backends}))
+        out, report = tmp_path / f"out-{tag}.jsonl", tmp_path / f"report-{tag}.json"
+        code = dispatch(["funnel", "run", "--config", str(cfg), "--out", str(out),
+                         "--report", str(report), "--cache-dir", str(tmp_path / cache)])
+        return code, (out.read_bytes(), report.read_bytes()) if code == 0 else None
+
+    @staticmethod
+    def _http(server):
+        return {"judge": server.url + "judge", "embedding": server.url + "embed",
+                "verifier": server.url + "verify"}
+
+    def test_same_bytes_as_mock_and_each_item_fetched_once(self, tmp_path, corpus_files,
+                                                           relay_server):
+        _, mock_bytes = self._run(tmp_path, corpus_files, {}, "mock-cache", "mock")
+        code, http_bytes = self._run(tmp_path, corpus_files, self._http(relay_server),
+                                     "http-cache", "cold")
+        assert code == 0 and http_bytes == mock_bytes
+        seen = relay_server.seen
+
+        kept, _ = rule_filter(ingest_claims(corpus_files[0]), RuleThresholds(),
+                              HeuristicEntityCounter())
+        assert sorted(seen["verify"]) == sorted({(r.claim, tuple(r.evidence)) for r in kept})
+        stages = json.loads((tmp_path / "report-cold.json").read_text())["stages"]
+        silver_in = next(s["input_count"] for s in stages if s["name"] == "silver_decompose")
+        assert len(seen["judge"]) == len(set(seen["judge"])) == silver_in
+        texts = [text for batch in seen["embed"] for text in batch]
+        assert len(texts) == len(set(texts))
+        assert max(map(len, seen["embed"])) == EMBED_CHUNK  # chunked, never larger
+
+        for requests in seen.values():
+            requests.clear()
+        code, warm_bytes = self._run(tmp_path, corpus_files, self._http(relay_server),
+                                     "http-cache", "warm")
+        assert code == 0 and warm_bytes == mock_bytes
+        assert seen == {"judge": [], "embed": [], "verify": []}
+
+    def test_verifier_fault_is_one_stage_error(self, tmp_path, corpus_files, relay_server,
+                                               capsys):
+        relay_server.status["verify"] = 404
+        code, _ = self._run(tmp_path, corpus_files, self._http(relay_server), "c", "fault")
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: stage difficulty_filter:")
+        assert not (tmp_path / "out-fault.jsonl").exists()
 
 
 class TestEval:
