@@ -86,7 +86,12 @@ class DiskCache:
     def put(self, key: str, record: dict) -> dict:
         """Store a record under key; first writer wins, losers get the stored copy.
         A file under the key that does not parse is replaced. A fresh write
-        returns its own blob parsed, the same value `get` reads back."""
+        returns its own blob parsed, the same value `get` reads back.
+
+        First-writer-wins needs hard links. Where `os.link` fails (a
+        filesystem without them), the record is moved into place only when no
+        readable one is stored, and concurrent writers may then race: the
+        last move wins and each put returns what `get` reads back."""
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         blob = json.dumps(record, sort_keys=True, ensure_ascii=False)
@@ -97,7 +102,7 @@ class DiskCache:
             try:
                 os.link(tmp, path)
                 return json.loads(blob)
-            except FileExistsError:
+            except OSError:  # FileExistsError, or no hard links here
                 if self.get(key) is None:
                     os.replace(tmp, path)
         finally:

@@ -82,18 +82,19 @@ def dedup_semantic(
     if not records:
         return [], []
     vectors = embed([rec.claim for rec in records], backend, cache)
+    # the kept vectors, contiguous in keep order: kept_vecs[:len(kept)]
+    kept_vecs = np.empty_like(vectors)
     kept: list[ClaimRecord] = []
-    kept_rows: list[int] = []
     removed: list[tuple[ClaimRecord, str]] = []
     for i, rec in enumerate(records):
-        if kept_rows:
-            sims = vectors[kept_rows] @ vectors[i]
+        if kept:
+            sims = kept_vecs[:len(kept)] @ vectors[i]
             hit = int(np.argmax(sims))
             if float(sims[hit]) >= threshold:
                 removed.append((rec, f"semantic-duplicate-of:{kept[hit].id}"))
                 continue
+        kept_vecs[len(kept)] = vectors[i]
         kept.append(rec)
-        kept_rows.append(i)
     return kept, removed
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import json
 import re
 import threading
@@ -152,6 +153,91 @@ tokenizer_texts = st.text(st.one_of(
     st.sampled_from(UNICODE_WHITESPACE),
     st.sampled_from("AZaz09.!?,;:\"'()-"),
 ), max_size=80)
+
+
+# Selection and semantic dedup as they were before gains were read from
+# contiguous rows in blocks: every gain and distance reads a strided column
+# S[:, row], and dedup gathers the kept rows again for every record. References
+# for the equivalence tests of naive_greedy, lazy_greedy, farthest-point
+# alt_select and dedup_semantic.
+def _ref_gain(sim_col, coverage):
+    return float(np.sum(np.maximum(sim_col - coverage, 0.0)))
+
+
+def ref_naive_greedy(X, k, ids=None):
+    ids = list(ids) if ids is not None else list(range(X.shape[0]))
+    S = X @ X.T
+    order = sorted(range(len(ids)), key=lambda r: ids[r])
+    coverage = np.zeros(S.shape[0])
+    selected = []
+    chosen = set()
+    for _ in range(k):
+        best_row, best_gain = None, None
+        for row in order:
+            if row in chosen:
+                continue
+            g = _ref_gain(S[:, row], coverage)
+            if best_gain is None or g > best_gain:
+                best_row, best_gain = row, g
+        chosen.add(best_row)
+        selected.append(best_row)
+        coverage = np.maximum(coverage, S[:, best_row])
+    return [ids[r] for r in selected]
+
+
+def ref_lazy_greedy(X, k, ids=None):
+    ids = list(ids) if ids is not None else list(range(X.shape[0]))
+    S = X @ X.T
+    n = len(ids)
+    coverage = np.zeros(n)
+    heap = [(-_ref_gain(S[:, row], coverage), ids[row], row, 0) for row in range(n)]
+    heapq.heapify(heap)
+    selected = []
+    while len(selected) < k:
+        neg_gain, rid, row, stamp = heapq.heappop(heap)
+        if stamp != len(selected):
+            fresh = _ref_gain(S[:, row], coverage)
+            heapq.heappush(heap, (-fresh, rid, row, len(selected)))
+            continue
+        selected.append(row)
+        coverage = np.maximum(coverage, S[:, row])
+    return [ids[r] for r in selected]
+
+
+def ref_farthest_point(X, k, ids=None):
+    ids = list(ids) if ids is not None else list(range(X.shape[0]))
+    n = len(ids)
+    S = X @ X.T
+    order = sorted(range(n), key=lambda r: ids[r])
+    totals = S.sum(axis=0)
+    first = min(order, key=lambda r: (-totals[r], ids[r]))
+    selected = [first]
+    chosen = {first}
+    min_dist = 1.0 - S[:, first]
+    while len(selected) < k:
+        nxt = min(
+            (r for r in order if r not in chosen),
+            key=lambda r: (-min_dist[r], ids[r]),
+        )
+        selected.append(nxt)
+        chosen.add(nxt)
+        min_dist = np.minimum(min_dist, 1.0 - S[:, nxt])
+    return [ids[r] for r in selected]
+
+
+def ref_semantic_removals(vectors, ids, threshold=0.70):
+    """(removed id, reason) pairs of dedup_semantic's per-record gather loop."""
+    kept, kept_rows, removed = [], [], []
+    for i, rid in enumerate(ids):
+        if kept_rows:
+            sims = vectors[kept_rows] @ vectors[i]
+            hit = int(np.argmax(sims))
+            if float(sims[hit]) >= threshold:
+                removed.append((rid, f"semantic-duplicate-of:{kept[hit]}"))
+                continue
+        kept.append(rid)
+        kept_rows.append(i)
+    return removed
 
 
 class PlantedEmbedding:

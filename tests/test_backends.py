@@ -1,7 +1,9 @@
 """Backend layer: templates, cache, judge plumbing, parsers, embeddings,
 difficulty scoring."""
 
+import errno
 import json
+import os
 import re
 import threading
 import time
@@ -129,6 +131,21 @@ class TestCache:
         second = cache.put(key, {"response": "two"})
         assert first["response"] == "one"
         assert second["response"] == "one"
+
+    @pytest.mark.parametrize("error", [PermissionError(errno.EPERM, "Operation not permitted"),
+                                       OSError(errno.ENOTSUP, "Operation not supported")])
+    def test_first_writer_wins_without_hard_links(self, tmp_path, monkeypatch, error):
+        def no_link(src, dst):
+            raise error
+
+        monkeypatch.setattr(os, "link", no_link)
+        cache = DiskCache(tmp_path / "c")
+        key = cache_key("t", "p", "b")
+        assert cache.put(key, {"response": "one"}) == {"response": "one"}
+        assert cache.get(key) == {"response": "one"}
+        assert cache.put(key, {"response": "two"}) == {"response": "one"}
+        assert cache.get(key) == {"response": "one"}
+        assert not list((tmp_path / "c" / key[:2]).glob("*.tmp"))
 
     def test_concurrent_writers_agree(self, tmp_path):
         cache = DiskCache(tmp_path / "c")

@@ -1,13 +1,24 @@
 """Curation funnel: shingling, dedup, budgets, selection, stages, end-to-end."""
 
+import importlib.util
 import itertools
 import json
 import random
 import string
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import PlantedEmbedding, RefEntityCounter, ref_tokenize
+from conftest import (
+    PlantedEmbedding,
+    RefEntityCounter,
+    ref_farthest_point,
+    ref_lazy_greedy,
+    ref_naive_greedy,
+    ref_semantic_removals,
+    ref_tokenize,
+)
 
 from claimkit.backends import MemoryCache, embed
 from claimkit.corpus import (
@@ -44,7 +55,7 @@ from claimkit.funnel import (
     stage_seed,
 )
 from claimkit.funnel.stages import rule_violation
-from claimkit.mock import HashJudgeBackend
+from claimkit.mock import HashEmbeddingBackend, HashJudgeBackend
 from claimkit.synthetic import funnel_corpus, holdout_corpus
 
 
@@ -170,6 +181,36 @@ class TestDedupSemantic:
                                 "y": [0.70, float(np.sqrt(1 - 0.70 ** 2))]})
         kept, _ = dedup_semantic([rec("a", "x"), rec("b", "y")], emb, MemoryCache())
         assert [r.id for r in kept] == ["a"]
+
+
+    def test_matches_per_record_gather_near_threshold(self):
+        # later records sit at cosine 0.70 +- a few ulps from a random earlier one
+        rng = np.random.default_rng(70)
+        d = 16
+        base = random_unit_rows(rng, 300, d)
+        table = {}
+        for i in range(600):
+            if i < 300 or i % 3 == 0:
+                v = base[i % 300]
+            else:
+                u = base[int(rng.integers(0, 300))]
+                w = rng.standard_normal(d)
+                w -= (w @ u) * u
+                w /= np.linalg.norm(w)
+                c = 0.70 + float(rng.choice([-2e-13, -1e-13, 0.0, 1e-13, 2e-13]))
+                v = c * u + np.sqrt(1.0 - c * c) * w
+            table[f"claim {i}"] = v
+        texts = list(table)
+        order = rng.permutation(len(texts))
+        records = [rec(f"r{j:04d}", texts[j]) for j in order]
+        emb = PlantedEmbedding(table)
+        vectors = embed([r.claim for r in records], emb, MemoryCache())
+        best = [max(vectors[:i] @ vectors[i]) for i in range(1, len(records))]
+        assert sum(abs(b - 0.70) < 1e-12 for b in best) >= 50
+        expected = ref_semantic_removals(vectors, [r.id for r in records])
+        kept, removed = dedup_semantic(records, emb, MemoryCache())
+        assert [(r.id, why) for r, why in removed] == expected
+        assert len(kept) + len(removed) == len(records)
 
 
 class TestDecontaminate:
@@ -426,6 +467,67 @@ class TestSelect:
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             lazy_greedy(np.eye(3), 4)
+
+
+def planted_ties(rng, n, d):
+    """Unit rows where every fifth row repeats an earlier one, so gains and
+    distances tie exactly, under ids that are not in row order."""
+    X = random_unit_rows(rng, n, d)
+    for row in range(4, n, 5):
+        X[row] = X[int(rng.integers(0, row))]
+    ids = [f"id-{v:05d}" for v in rng.permutation(n)]
+    return X, ids
+
+
+class TestSelectDifferential:
+    """Row-reading, block-evaluated selection against the column-reading loops."""
+
+    @pytest.mark.parametrize("n", [1, 31, 32, 33])
+    def test_greedy_matches_reference_for_every_k(self, n):
+        X, ids = planted_ties(np.random.default_rng(n), n, 6)
+        for k in range(1, n + 1):
+            expected = ref_lazy_greedy(X, k, ids)
+            assert ref_naive_greedy(X, k, ids) == expected
+            assert lazy_greedy(X, k, ids) == expected
+            assert naive_greedy(X, k, ids) == expected
+
+    def test_greedy_matches_reference_at_1500(self):
+        # greedy picks do not depend on k, so every k's answer is a prefix of k = n's
+        X, ids = planted_ties(np.random.default_rng(1500), 1500, 32)
+        expected = ref_lazy_greedy(X, 1500, ids)
+        assert ref_naive_greedy(X, 40, ids) == expected[:40]
+        for k in (1, 2, 31, 32, 33, 300, 1499, 1500):
+            assert lazy_greedy(X, k, ids) == expected[:k]
+        for k in (1, 33, 40):
+            assert naive_greedy(X, k, ids) == expected[:k]
+        assert sorted(expected) == sorted(ids)
+
+    @pytest.mark.parametrize("n", [1, 2, 31, 33, 200])
+    def test_farthest_point_matches_reference(self, n):
+        X, ids = planted_ties(np.random.default_rng(n + 7), n, 4)
+        for k in sorted({1, min(2, n), n // 2 or 1, n}):
+            assert alt_select(X, k, "farthest_point", seed=0, ids=ids) == \
+                ref_farthest_point(X, k, ids)
+        # exact ties in totals and in distances, broken toward the lowest id
+        X = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]] * 2)
+        ids = ["h", "c", "f", "a", "d", "g", "b", "e"]
+        assert alt_select(X, 8, "farthest_point", seed=0, ids=ids) == ref_farthest_point(X, 8, ids)
+
+    def test_similarity_matrix_is_bitwise_symmetric(self, monkeypatch):
+        # The row reads stand in for column reads only because X @ X.T is
+        # exactly symmetric; checked on the select benchmark's own embeddings.
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py")
+        inputs = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, inputs)  # its dataclasses look it up
+        spec.loader.exec_module(inputs)
+        pool = inputs.select_pool(811, 1500)
+        for label in inputs.LABELS:
+            claims = [r["claim"] for r in pool if r["label"] == label]
+            X = embed(claims, HashEmbeddingBackend(), MemoryCache())
+            assert X.shape == (1500, 32)
+            S = X @ X.T
+            assert np.array_equal(S, S.T)
 
 
 class TestStages:
