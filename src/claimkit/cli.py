@@ -27,6 +27,7 @@ from .funnel import (
     run_funnel,
     select_stratified,
 )
+from .funnel.run import SELECTORS
 # Unused here, but perfbench/tracing.py wraps these module-level names.
 from .backends import embed  # noqa: F401
 from .funnel import allocate_budgets, lazy_greedy  # noqa: F401
@@ -60,8 +61,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_backend_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--judge", default="mock")
     p.add_argument("--embedding", default="mock")
-    p.add_argument("--fixtures", default=None,
-                   help="shorthand for --judge fixture:<path>")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sel.add_argument("--budget", type=int, required=True)
     p_sel.add_argument("--out", required=True)
     p_sel.add_argument("--strategy", default="facility_location",
-                       choices=("facility_location", "farthest_point", "random"))
+                       choices=SELECTORS)
     p_sel.add_argument("--embedding", default="mock")
     _add_common(p_sel)
 
@@ -132,16 +131,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_jsonl(path: str) -> list[dict]:
+def _load_rows(path: str, fields: tuple[str, str]) -> list[dict]:
+    """JSONL rows, each an object with a string value for both fields."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                rows.append(json.loads(line))
+                row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise UsageError(f"{path} line {line_no}: invalid JSON: {exc}") from exc
+            if not (isinstance(row, dict) and all(isinstance(row.get(f), str) for f in fields)):
+                raise UsageError(f"{path} line {line_no}: rows need string "
+                                 f"{fields[0]!r} and {fields[1]!r} fields")
+            rows.append(row)
     return rows
 
 
@@ -161,7 +165,7 @@ def _cmd_funnel_run(args) -> int:
             ingest_claims(path)
         print("dry-run ok: config and inputs validated")
         return 0
-    records, report = run_funnel(config, workers=args.workers)
+    records, report = run_funnel(config)
     _write_claims_atomic(records, args.out)
     atomic_write_text(args.report,
                       json.dumps(report.to_json_obj(), indent=2, sort_keys=True) + "\n")
@@ -218,11 +222,8 @@ def _cmd_select(args) -> int:
 
 
 def _reward_backends(args) -> RewardBackends:
-    judge_spec = args.judge
-    if args.fixtures:
-        judge_spec = f"fixture:{args.fixtures}"
     return RewardBackends(
-        judge=build_judge_backend(judge_spec),
+        judge=build_judge_backend(args.judge),
         embedding=build_embedding_backend(args.embedding),
         cache=DiskCache(args.cache_dir),
         params=DecodingParams(),
@@ -230,11 +231,9 @@ def _reward_backends(args) -> RewardBackends:
 
 
 def _load_trace_rows(args) -> tuple[list[dict], dict[str, ClaimRecord]]:
-    rows = _load_jsonl(args.traces)
+    rows = _load_rows(args.traces, ("id", "trace"))
     claims = {rec.id: rec for rec in ingest_claims(args.claims)}
     for row in rows:
-        if "id" not in row or "trace" not in row:
-            raise UsageError(f"{args.traces}: rows need 'id' and 'trace' fields")
         if row["id"] not in claims:
             raise UsageError(f"trace id {row['id']!r} not found in {args.claims}")
     return rows, claims
@@ -318,12 +317,10 @@ def _cmd_score_group(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    preds_rows = _load_jsonl(args.preds)
+    preds_rows = _load_rows(args.preds, ("id", "pred"))
     gold = {rec.id: rec for rec in ingest_claims(args.gold)}
     preds, golds = [], []
     for row in preds_rows:
-        if "id" not in row or "pred" not in row:
-            raise UsageError(f"{args.preds}: rows need 'id' and 'pred' fields")
         rec = gold.get(row["id"])
         if rec is None:
             raise UsageError(f"prediction id {row['id']!r} not in gold file")

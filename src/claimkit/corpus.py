@@ -125,6 +125,10 @@ def ingest_claims(
             if rid in seen_ids:
                 raise IngestError(line_no, f"duplicate id {rid!r}")
             seen_ids.add(rid)
+            if not isinstance(obj["claim"], str) or not obj["claim"]:
+                raise IngestError(line_no, "claim must be a non-empty string")
+            if not isinstance(obj["source"], str):
+                raise IngestError(line_no, "source must be a string")
             evidence = obj["evidence"]
             if not isinstance(evidence, list) or not all(isinstance(p, str) for p in evidence):
                 raise IngestError(line_no, "evidence must be a list of strings")
@@ -140,7 +144,9 @@ def ingest_claims(
             silver = obj.get("silver_question_count")
             if silver is not None and (not isinstance(silver, int) or silver < 1):
                 raise IngestError(line_no, "silver_question_count must be a positive integer")
-            meta = obj.get("meta") or {}
+            meta = obj.get("meta")
+            if meta is not None and not isinstance(meta, dict):
+                raise IngestError(line_no, "meta must be a JSON object or null")
             records.append(
                 ClaimRecord(
                     id=rid,
@@ -149,7 +155,7 @@ def ingest_claims(
                     source=obj["source"],
                     label=label,
                     silver_question_count=silver,
-                    meta=dict(meta),
+                    meta=dict(meta or {}),
                 )
             )
     return records
@@ -234,8 +240,8 @@ class HeuristicEntityCounter:
     """Capitalized-span heuristic: runs of capitalized tokens, skipping runs
     that start at a sentence-initial position.
 
-    A stand-in for real NER backends; the external-backend interface takes
-    precedence when one is configured.
+    The only entity counter: the "heuristic" and "mock" NER specs both
+    build it, and no external NER backend can be configured.
     """
 
     def entity_spans(self, text: str) -> list[tuple[int, int]]:
@@ -262,21 +268,6 @@ class HeuristicEntityCounter:
             else:
                 i += 1
         return spans
-
-
-class UnionEntityCounter:
-    """Union semantics over several configured backends: distinct spans count once."""
-
-    def __init__(self, counters: list[EntityCounter]):
-        if not counters:
-            raise ValueError("need at least one entity counter")
-        self.counters = counters
-
-    def entity_spans(self, text: str) -> list[tuple[int, int]]:
-        union: set[tuple[int, int]] = set()
-        for counter in self.counters:
-            union.update(counter.entity_spans(text))
-        return sorted(union)
 
 
 def entity_count(claim: str, ner: EntityCounter) -> int:

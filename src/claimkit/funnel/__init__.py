@@ -32,7 +32,6 @@ from .stages import (
     difficulty_filter,
     long_evidence_augment,
     rule_filter,
-    silver_decompose,
     silver_stage,
 )
 
@@ -65,7 +64,6 @@ __all__ = [
     "run_funnel",
     "select_stratified",
     "shingle_set",
-    "silver_decompose",
     "silver_stage",
     "stage_seed",
 ]

@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -38,18 +38,13 @@ from .stages import (
     silver_stage,
 )
 
-STAGE_ORDER = (
-    "rule_filter",
-    "difficulty_filter",
-    "dedup_minhash",
-    "dedup_semantic",
-    "decontaminate",
-    "silver_decompose",
-    "select",
-    "augment",
-)
-
 SELECTORS = ("facility_location", "farthest_point", "random")
+
+# Config keys whose value must have one JSON type; numbers are checked as
+# they are converted.
+_CONFIG_SHAPES = {"inputs": list, "holdouts": list, "thresholds": dict, "backends": dict,
+                  "cache_dir": str}
+_JSON_KINDS = {list: "array", dict: "object", str: "string"}
 
 
 @dataclass
@@ -129,15 +124,30 @@ class FunnelConfig:
     def from_json_file(cls, path: str | Path) -> "FunnelConfig":
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise ValueError(f"config {path} is not a JSON object")
+        for key, kind in _CONFIG_SHAPES.items():
+            if not isinstance(obj.get(key, kind()), kind):
+                raise ValueError(f"config {key!r} must be a JSON {_JSON_KINDS[kind]}")
+        unknown = sorted(set(obj.get("thresholds", {})) - {f.name for f in fields(RuleThresholds)})
+        if unknown:
+            raise ValueError(f"unknown threshold {unknown[0]!r}")
+        names = [*obj.get("inputs", []), *obj.get("holdouts", []),
+                 *obj.get("backends", {}).values()]
+        if not all(isinstance(name, str) for name in names):
+            raise ValueError("config file names and backend specs must be strings")
         optional = ("seed", "cache_dir", "selector", "max_tokens")
         cfg = cls(
-            inputs=list(obj["inputs"]),
+            inputs=list(obj.get("inputs", [])),
             holdouts=list(obj.get("holdouts", [])),
-            budget=int(obj["budget"]),
+            budget=obj.get("budget"),
             thresholds=RuleThresholds(**obj.get("thresholds", {})),
             **{name: obj[name] for name in optional if name in obj},
         )
-        cfg.seed, cfg.max_tokens = int(cfg.seed), int(cfg.max_tokens)
+        try:
+            cfg.budget, cfg.seed, cfg.max_tokens = map(int, (cfg.budget, cfg.seed, cfg.max_tokens))
+        except TypeError as exc:
+            raise ValueError("config budget, seed and max_tokens must be integers") from exc
         cfg.backends.update(obj.get("backends", {}))
         if cfg.selector not in SELECTORS:
             raise ValueError(f"unknown selector {cfg.selector!r}")
@@ -219,13 +229,13 @@ def select_stratified(
     return [by_id[i] for i in selected_ids]
 
 
-def run_funnel(
-    config: FunnelConfig,
-    workers: int = 1,
-) -> tuple[list[ClaimRecord], FunnelReport]:
+def run_funnel(config: FunnelConfig) -> tuple[list[ClaimRecord], FunnelReport]:
     """Execute every curation stage in order and account for each record.
 
-    `workers` is ignored; it is kept so that existing callers still work."""
+    Each stage maps the pool to (kept, rejected). A stage that raises fails
+    the run with a `StageError` naming the stage; a `StageError` raised
+    inside a stage, such as a holdout ingest error, passes through as it is.
+    """
     cache = DiskCache(config.cache_dir)
     judge = build_judge_backend(config.backends["judge"])
     embedding = build_embedding_backend(config.backends["embedding"])
@@ -233,54 +243,43 @@ def run_funnel(
     ner = build_entity_counter(config.backends.get("ner", "heuristic"))
     params = DecodingParams(max_tokens=config.max_tokens)
 
-    records = _load_inputs(config.inputs, "input")
-    report = FunnelReport()
+    def decontaminate_stage(pool):
+        if not config.holdouts:
+            return list(pool), []
+        return decontaminate(pool, _load_inputs(config.holdouts, "holdout"), embedding, cache)
 
-    kept, rejected = rule_filter(records, config.thresholds, ner)
-    report.add("rule_filter", len(records), len(kept), rejected)
-    records = kept
-
-    kept, rejected = difficulty_filter(records, verifier, cache)
-    report.add("difficulty_filter", len(records), len(kept), rejected)
-    records = kept
-
-    kept, rejected = dedup_minhash(records)
-    report.add("dedup_minhash", len(records), len(kept), rejected)
-    records = kept
-
-    try:
-        kept, rejected = dedup_semantic(records, embedding, cache)
-    except Exception as exc:
-        raise StageError("dedup_semantic", str(exc)) from exc
-    report.add("dedup_semantic", len(records), len(kept), rejected)
-    records = kept
-
-    if config.holdouts:
-        holdout = _load_inputs(config.holdouts, "holdout")
-        try:
-            kept, rejected = decontaminate(records, holdout, embedding, cache)
-        except Exception as exc:
-            raise StageError("decontaminate", str(exc)) from exc
-    else:
-        kept, rejected = list(records), []
-    report.add("decontaminate", len(records), len(kept), rejected)
-    records = kept
-
-    kept, rejected = silver_stage(records, judge, cache, params)
-    report.add("silver_decompose", len(records), len(kept), rejected)
-    records = kept
-
-    try:
-        selected = select_stratified(records, config.budget, config.selector, config.seed,
+    def select_stage(pool):
+        selected = select_stratified(pool, config.budget, config.selector, config.seed,
                                      embedding, cache)
-    except ValueError as exc:
-        raise StageError("select", str(exc)) from exc
-    selected_ids = {s.id for s in selected}
-    report.add("select", len(records), len(selected),
-               [(r, "not-selected") for r in records if r.id not in selected_ids])
+        chosen = {rec.id for rec in selected}
+        return selected, [(rec, "not-selected") for rec in pool if rec.id not in chosen]
 
-    final = long_evidence_augment(records, selected, LONG_EVIDENCE_TOKENS)
-    report.add("augment", len(selected), len(final))
+    # Entries look each stage function up when called, so that a wrapper put
+    # on this module's name (perfbench/tracing.py) sees the call.
+    stages = (
+        ("rule_filter", lambda pool: rule_filter(pool, config.thresholds, ner)),
+        ("difficulty_filter", lambda pool: difficulty_filter(pool, verifier, cache)),
+        ("dedup_minhash", lambda pool: dedup_minhash(pool)),
+        ("dedup_semantic", lambda pool: dedup_semantic(pool, embedding, cache)),
+        ("decontaminate", decontaminate_stage),
+        ("silver_decompose", lambda pool: silver_stage(pool, judge, cache, params)),
+        ("select", select_stage),
+    )
 
+    pool = _load_inputs(config.inputs, "input")
+    report = FunnelReport()
+    for name, stage in stages:
+        try:
+            kept, rejected = stage(pool)
+        except StageError:
+            raise
+        except Exception as exc:
+            raise StageError(name, str(exc)) from exc
+        report.add(name, len(pool), len(kept), rejected)
+        previous, pool = pool, kept
+
+    # Augmentation draws from the pool as it was before selection.
+    final = long_evidence_augment(previous, pool, LONG_EVIDENCE_TOKENS)
+    report.add("augment", len(pool), len(final))
     report.validate_chain()
     return final, report

@@ -14,14 +14,13 @@ from ..backends import (
     TemplateId,
     VerifierBackend,
     difficulty_scores,
-    judge_generate,
     judge_generate_many,
     parse_question_list,
     prompt_digest,
     render_prompt,
 )
-# Unused here, but perfbench/tracing.py wraps this module-level name.
-from ..backends import difficulty_score  # noqa: F401
+# Unused here, but perfbench/tracing.py wraps these module-level names.
+from ..backends import difficulty_score, judge_generate  # noqa: F401
 from ..corpus import (
     ClaimRecord,
     EntityCounter,
@@ -93,11 +92,7 @@ def rule_filter(
     thresholds: RuleThresholds,
     ner: EntityCounter,
 ) -> tuple[list[ClaimRecord], list[tuple[ClaimRecord, str]]]:
-    try:
-        reasons = [rule_violation(rec, thresholds, ner) for rec in records]
-    except Exception as exc:
-        raise StageError("rule_filter", str(exc)) from exc
-    return _partition(zip(records, reasons))
+    return _partition((rec, rule_violation(rec, thresholds, ner)) for rec in records)
 
 
 def difficulty_filter(
@@ -109,10 +104,7 @@ def difficulty_filter(
     """Keep records whose label-aligned verifier confidence lies in the band
     (inclusive): hard enough to teach, easy enough to learn from."""
     lo, hi = band
-    try:
-        scores = difficulty_scores(records, verifier, cache)
-    except Exception as exc:
-        raise StageError("difficulty_filter", str(exc)) from exc
+    scores = difficulty_scores(records, verifier, cache)
     return _partition((rec, None if lo <= p <= hi else "difficulty-out-of-band")
                       for rec, p in zip(records, scores))
 
@@ -122,26 +114,16 @@ def _silver_prompt(record: ClaimRecord) -> str:
                          {"evidence_doc": record.evidence_text(), "claim": record.claim})
 
 
-def silver_decompose(
-    record: ClaimRecord,
-    judge: JudgeBackend,
-    cache: Cache,
-    params: DecodingParams | None = None,
-) -> ClaimRecord:
-    """Ask the generation backend for the minimal question decomposition and
-    store its size as the record's n-star. Unparsable replies raise."""
-    reply = judge_generate(judge, _silver_prompt(record), params or DecodingParams(), cache,
-                           template_id=TemplateId.SILVER_DECOMPOSE.value)
-    return record.with_silver_count(len(parse_question_list(reply)))
-
-
 def silver_stage(
     records: Sequence[ClaimRecord],
     judge: JudgeBackend,
     cache: Cache,
     params: DecodingParams | None = None,
 ) -> tuple[list[ClaimRecord], list[tuple[ClaimRecord, str]]]:
-    """`silver_decompose` for every record, all prompts in one `judge_generate_many`."""
+    """Ask the generation backend for each record's minimal question
+    decomposition, all prompts in one `judge_generate_many`, and store its
+    size as the record's n-star. A record whose reply does not parse, or
+    that gets fewer than two questions, is rejected."""
     template = TemplateId.SILVER_DECOMPOSE.value
 
     def outcome(rec: ClaimRecord, prompt: str) -> tuple[ClaimRecord, str | None]:
@@ -151,13 +133,10 @@ def silver_stage(
             return rec, "silver-unparsable"
         return (rec.with_silver_count(n), None) if n >= 2 else (rec, "too-few-silver-questions")
 
-    try:
-        prompts = [_silver_prompt(rec) for rec in records]
-        replies = judge_generate_many(judge, [(template, p) for p in prompts],
-                                      params or DecodingParams(), cache)
-        return _partition([outcome(rec, p) for rec, p in zip(records, prompts)])
-    except Exception as exc:
-        raise StageError("silver_decompose", str(exc)) from exc
+    prompts = [_silver_prompt(rec) for rec in records]
+    replies = judge_generate_many(judge, [(template, p) for p in prompts],
+                                  params or DecodingParams(), cache)
+    return _partition([outcome(rec, p) for rec, p in zip(records, prompts)])
 
 
 def long_evidence_augment(

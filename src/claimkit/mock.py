@@ -83,12 +83,3 @@ class HashVerifierBackend:
     def probability_supported(self, claim: str, evidence: list[str]) -> float:
         return (_hash_int(claim, salt="verifier") % 10_000) / 9_999.0
 
-
-class StaticEntityCounter:
-    """Scripted NER backend: a fixed mapping from text to entity spans."""
-
-    def __init__(self, spans_by_text: dict[str, list[tuple[int, int]]]):
-        self.spans_by_text = spans_by_text
-
-    def entity_spans(self, text: str) -> list[tuple[int, int]]:
-        return list(self.spans_by_text.get(text, []))

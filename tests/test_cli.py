@@ -95,7 +95,7 @@ class TestFunnelCommands:
         cfg.write_text(json.dumps({"inputs": ["unread.jsonl"], "budget": 1, "seed": 3}))
         seen = []
 
-        def fake_run(config, workers):
+        def fake_run(config):
             seen.append(config.seed)
             return [], FunnelReport()
 
@@ -338,6 +338,81 @@ def test_cli_import_leaves_requests_unloaded():
     env = dict(os.environ, PYTHONPATH=str(src))
     code = "import sys, claimkit.cli; sys.exit('requests' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+
+
+def _write_lines(path, lines):
+    path.write_text("".join(line + "\n" for line in lines))
+    return str(path)
+
+
+def _malformed_argv(case, tmp_path, claims):
+    """argv for one command run on one malformed outside input."""
+    rows = [json.loads(line) for line in claims.read_text().splitlines()[:20]]
+    first = rows[0]["id"]
+
+    def bad_claims(**fields):
+        rows[3].update(fields)
+        return _write_lines(tmp_path / "bad-claims.jsonl", map(json.dumps, rows))
+
+    def funnel(config):
+        return ["funnel", "run", "--config", _write_lines(tmp_path / "cfg.json", [json.dumps(config)]),
+                "--out", str(tmp_path / "out.jsonl"), "--report", str(tmp_path / "r.json")]
+
+    def score(*trace_rows):
+        return ["score", "--claims", str(claims), "--out", str(tmp_path / "out.jsonl"),
+                "--traces", _write_lines(tmp_path / "traces.jsonl", trace_rows)]
+
+    def select(**fields):
+        return ["select", "--claims", bad_claims(**fields), "--budget", "4",
+                "--out", str(tmp_path / "out.jsonl"), "--cache-dir", str(tmp_path / "c")]
+
+    config = {"inputs": [str(claims)], "budget": 10}
+    return {
+        "trace row not an object": lambda: score("5"),
+        "trace not a string": lambda: score(json.dumps({"id": first, "trace": 5})),
+        "trace id not a string": lambda: score(json.dumps({"id": [first], "trace": "x"})),
+        "pred not a string": lambda: [
+            "eval", "--gold", str(claims),
+            "--preds", _write_lines(tmp_path / "p.jsonl", [json.dumps({"id": first, "pred": 1})])],
+        "unknown threshold": lambda: funnel(dict(config, thresholds={"min_passage": 3})),
+        "thresholds not an object": lambda: funnel(dict(config, thresholds=[3])),
+        "config not an object": lambda: funnel([config]),
+        "config without budget": lambda: funnel({"inputs": [str(claims)]}),
+        "inputs not an array": lambda: funnel(dict(config, inputs=5)),
+        "backend spec not a string": lambda: funnel(dict(config, backends={"judge": 5})),
+        "claim not a string (select)": lambda: select(claim=5),
+        "claim not a string (dedup)": lambda: [
+            "dedup", "--claims", bad_claims(claim=5), "--out", str(tmp_path / "out.jsonl"),
+            "--cache-dir", str(tmp_path / "c")],
+        "source not a string": lambda: select(source=5),
+        "meta not an object": lambda: select(meta=[1, 2]),
+    }[case]()
+
+
+class TestMalformedInput:
+    """Malformed outside input ends in one error line and a defined exit code:
+    2 for claims, trace and prediction files, 1 for a funnel config."""
+
+    @pytest.mark.parametrize("case, code", [
+        ("trace row not an object", 2),
+        ("trace not a string", 2),
+        ("trace id not a string", 2),
+        ("pred not a string", 2),
+        ("unknown threshold", 1),
+        ("thresholds not an object", 1),
+        ("config not an object", 1),
+        ("config without budget", 1),
+        ("inputs not an array", 1),
+        ("backend spec not a string", 1),
+        ("claim not a string (select)", 2),
+        ("claim not a string (dedup)", 2),
+        ("source not a string", 2),
+        ("meta not an object", 2),
+    ])
+    def test_one_error_line(self, tmp_path, corpus_files, capsys, case, code):
+        assert dispatch(_malformed_argv(case, tmp_path, corpus_files[0])) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
 
 class TestExitCodes:

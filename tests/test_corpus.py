@@ -12,7 +12,6 @@ from claimkit.corpus import (
     HeuristicEntityCounter,
     IngestError,
     Label,
-    UnionEntityCounter,
     count_tokens,
     entity_count,
     ingest_claims,
@@ -20,7 +19,6 @@ from claimkit.corpus import (
     tokenize,
     write_claims,
 )
-from claimkit.mock import StaticEntityCounter
 
 
 def _write_jsonl(path, rows):
@@ -149,13 +147,6 @@ class TestEntityCount:
         ner = HeuristicEntityCounter()
         # "New York City" is one run, one span
         assert entity_count("She saw New York City yesterday.", ner) == 1
-
-    def test_union_counter_dedupes(self):
-        text = "x saw Paris."
-        a = StaticEntityCounter({text: [(2, 3)]})
-        b = StaticEntityCounter({text: [(2, 3), (0, 1)]})
-        union = UnionEntityCounter([a, b])
-        assert entity_count(text, union) == 2
 
     def test_backend_failure_propagates(self):
         class Boom:

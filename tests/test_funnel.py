@@ -1,5 +1,6 @@
 """Curation funnel: shingling, dedup, budgets, selection, stages, end-to-end."""
 
+import functools
 import importlib.util
 import itertools
 import json
@@ -575,13 +576,19 @@ class TestStages:
         _, rejected = rule_filter([long_rec], RuleThresholds(), ner)
         assert rejected[0][1] == "too-long"
 
-    def test_rule_filter_ner_failure_is_stage_error(self):
+    def test_rule_filter_ner_failure_is_stage_error(self, tmp_path, monkeypatch):
         class Boom:
             def entity_spans(self, text):
                 raise RuntimeError("ner offline")
 
-        with pytest.raises(StageError):
-            rule_filter([self._good_record()], RuleThresholds(), Boom())
+        monkeypatch.setattr("claimkit.funnel.run.build_entity_counter", lambda spec: Boom())
+        write_claims([self._good_record()], tmp_path / "claims.jsonl")
+        config = FunnelConfig(inputs=[str(tmp_path / "claims.jsonl")], holdouts=[], budget=1,
+                              cache_dir=str(tmp_path / "cache"))
+        with pytest.raises(StageError) as err:
+            run_funnel(config)
+        assert err.value.stage == "rule_filter"
+        assert str(err.value) == "stage rule_filter: ner offline"
 
     def test_difficulty_band_inclusive(self):
         class Fixed:
@@ -751,10 +758,16 @@ class TestReport:
         assert back.stages[0].rejections == {"why": 1}
 
 
+@functools.cache
+def _funnel_corpus():
+    # Generated once and only read: generating it dominates these tests' setup.
+    records = funnel_corpus()
+    return records, holdout_corpus(records)
+
+
 class TestRunFunnel:
     def _config(self, tmp_path, **overrides):
-        records = funnel_corpus()
-        holdout = holdout_corpus(records)
+        records, holdout = _funnel_corpus()
         write_claims(records, tmp_path / "claims.jsonl")
         write_claims(holdout, tmp_path / "holdout.jsonl")
         base = dict(inputs=[str(tmp_path / "claims.jsonl")],
@@ -783,12 +796,31 @@ class TestRunFunnel:
         second, _ = run_funnel(config)
         assert [r.id for r in first] == [r.id for r in second]
 
-    def test_workers_do_not_change_output(self, tmp_path):
-        config = self._config(tmp_path)
-        single, report1 = run_funnel(config, workers=1)
-        multi, report8 = run_funnel(config, workers=8)
-        assert [r.to_json_obj() for r in single] == [r.to_json_obj() for r in multi]
-        assert report1.to_json_obj() == report8.to_json_obj()
+    # (name looked up in claimkit.funnel.run, report name of its stage)
+    @pytest.mark.parametrize("attr, stage", [
+        ("rule_filter", "rule_filter"),
+        ("difficulty_filter", "difficulty_filter"),
+        ("dedup_minhash", "dedup_minhash"),
+        ("dedup_semantic", "dedup_semantic"),
+        ("decontaminate", "decontaminate"),
+        ("silver_stage", "silver_decompose"),
+        ("select_stratified", "select"),
+    ])
+    def test_stage_failure_names_the_stage(self, tmp_path, monkeypatch, attr, stage):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(f"claimkit.funnel.run.{attr}", boom)
+        with pytest.raises(StageError) as err:
+            run_funnel(self._config(tmp_path))
+        assert err.value.stage == stage
+        assert str(err.value) == f"stage {stage}: boom"
+
+    def test_holdout_ingest_error_keeps_its_stage(self, tmp_path):
+        config = self._config(tmp_path, holdouts=[str(tmp_path / "missing.jsonl")])
+        with pytest.raises(StageError) as err:
+            run_funnel(config)
+        assert err.value.stage == "ingest"
 
     def test_selector_variants_run(self, tmp_path):
         for selector in ("random", "farthest_point"):
