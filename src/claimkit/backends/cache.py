@@ -1,21 +1,22 @@
-"""Deterministic content-addressed on-disk cache for backend responses.
+"""Deterministic content-addressed cache for backend responses.
 
 Keys are SHA-256 digests over (template id, rendered prompt, backend id,
-decoding params). Layout: one root directory, two-hex-char shard
-subdirectories, one JSON file per key. A key is written once, unless its
-file does not parse; concurrent writers race on an exclusive create and
-losers re-read.
+decoding params). `DiskCache` keeps one SQLite database file, in WAL mode,
+under its root directory: one table of (key, JSON text of the record). A
+key is written once, unless its stored text does not parse; the first of
+concurrent writers wins, across threads and processes alike. The whole
+store is read and written in batches, through `get_many` and `put_many`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol
+from typing import Iterable, Protocol
 
 
 @dataclass(frozen=True)
@@ -56,62 +57,141 @@ class Cache(Protocol):
 
     `put` stores a record under a key unless one is already there, and
     returns the stored record (first writer wins); `get` returns it, or None.
+    `get_many` and `put_many` do the same for many keys at once: `get_many`
+    returns {key: record} for the keys that are stored, and `put_many`
+    returns {key: stored record} for every key it was given.
     """
 
     def get(self, key: str) -> dict | None: ...
 
     def put(self, key: str, record: dict) -> dict: ...
 
+    def get_many(self, keys: Iterable[str]) -> dict[str, dict]: ...
+
+    def put_many(self, items: Iterable[tuple[str, dict]]) -> dict[str, dict]: ...
+
+
+_SELECT_BATCH = 500  # keys per SELECT ... IN (...), under SQLite's bound-parameter limit
+
+
+def _parse(blob: bytes) -> dict | None:
+    try:
+        return json.loads(blob)
+    except ValueError:  # JSON or UTF-8 cut short
+        return None
+
 
 class DiskCache:
+    """The on-disk `Cache`: one SQLite database file, FILE_NAME, under root.
+
+    Use it as a context manager, or call `close`, so that the database
+    connection is closed when the work is done. One lock serializes its
+    methods, so threads may share an instance. A database that does not
+    open or cannot be written raises OSError naming its path.
+    """
+
+    FILE_NAME = "cache.sqlite3"
+
     # `get` and `put` stay defined on this class itself: perfbench/tracing.py
     # wraps them by looking them up in the class __dict__.
     def __init__(self, root: str | Path):
+        # Imported here, not at module level: `import claimkit.cli` should not
+        # pay for it, and `eval`, `funnel report` and dry runs open no cache.
+        import sqlite3
+
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self.path = self.root / self.FILE_NAME
+        self._lock = threading.Lock()
+        with self._locked():
+            self._db = sqlite3.connect(self.path, isolation_level=None,
+                                       check_same_thread=False)
+            try:
+                self._db.execute("PRAGMA journal_mode=WAL")
+                # A commit lost to a power failure only costs a refetch.
+                self._db.execute("PRAGMA synchronous=NORMAL")
+                # 256 KiB of page cache, not SQLite's 2 MiB: every command opens
+                # the file afresh, so a larger cache holds little that is read
+                # twice, but it adds to the process's peak memory.
+                self._db.execute("PRAGMA cache_size=-256")
+                self._db.execute("CREATE TABLE IF NOT EXISTS responses "
+                                 "(key TEXT PRIMARY KEY, blob TEXT NOT NULL)")
+            except sqlite3.Error:
+                self._db.close()
+                raise
 
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+    def __enter__(self) -> "DiskCache":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        with self._locked():
+            self._db.close()
+
+    @contextmanager
+    def _locked(self):
+        import sqlite3
+
+        with self._lock:
+            try:
+                yield
+            except sqlite3.Error as exc:
+                raise OSError(f"cache {self.path}: {exc}") from exc
+
+    def _select(self, keys: list[str]) -> dict[str, bytes]:
+        # The blob comes back as bytes, so text that is not UTF-8 is a parse
+        # failure like any other, not an error of the database driver.
+        found: dict[str, bytes] = {}
+        for i in range(0, len(keys), _SELECT_BATCH):
+            batch = keys[i:i + _SELECT_BATCH]
+            found.update(self._db.execute(
+                "SELECT key, CAST(blob AS BLOB) FROM responses WHERE key IN "
+                f"({','.join('?' * len(batch))})", batch))
+        return found
 
     def get(self, key: str) -> dict | None:
-        """The stored record, or None when there is none or its file does not
-        parse (a write cut short); `put` then replaces that file."""
-        path = self._path(key)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return json.load(fh)
-        except (FileNotFoundError, ValueError):  # ValueError: JSON or UTF-8 cut short
-            return None
+        """The stored record, or None when there is none or its text does not
+        parse; `put` then replaces that text."""
+        return self.get_many([key]).get(key)
 
     def put(self, key: str, record: dict) -> dict:
         """Store a record under key; first writer wins, losers get the stored copy.
-        A file under the key that does not parse is replaced. A fresh write
-        returns its own blob parsed, the same value `get` reads back.
+        Stored text that does not parse is replaced. A fresh write returns its
+        own JSON text parsed, the same value `get` reads back."""
+        return self.put_many([(key, record)])[key]
 
-        First-writer-wins needs hard links. Where `os.link` fails (a
-        filesystem without them), the record is moved into place only when no
-        readable one is stored, and concurrent writers may then race: the
-        last move wins and each put returns what `get` reads back."""
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        blob = json.dumps(record, sort_keys=True, ensure_ascii=False)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(blob)
-            try:
-                os.link(tmp, path)
-                return json.loads(blob)
-            except OSError:  # FileExistsError, or no hard links here
-                if self.get(key) is None:
-                    os.replace(tmp, path)
-        finally:
-            try:
-                os.unlink(tmp)
-            except FileNotFoundError:
-                pass
-        stored = self.get(key)
-        assert stored is not None
+    def get_many(self, keys: Iterable[str]) -> dict[str, dict]:
+        """{key: stored record} for each key whose stored text parses."""
+        with self._locked():
+            blobs = self._select(list(keys))
+        return {key: record for key, blob in blobs.items()
+                if (record := _parse(blob)) is not None}
+
+    def put_many(self, items: Iterable[tuple[str, dict]]) -> dict[str, dict]:
+        """`put` for many (key, record) pairs in one transaction; returns
+        {key: stored record}."""
+        blobs = {key: json.dumps(record, sort_keys=True, ensure_ascii=False)
+                 for key, record in items}
+        if not blobs:
+            return {}
+        stored: dict[str, dict] = {}
+        with self._locked(), self._db:  # commits, or rolls back on an exception
+            # IMMEDIATE takes the write lock before anything is read, so no
+            # other writer comes between the insert, the read-back and the
+            # rewrite of a row that does not parse.
+            self._db.execute("BEGIN IMMEDIATE")
+            self._db.executemany("INSERT INTO responses VALUES (?, ?) ON CONFLICT DO NOTHING",
+                                 blobs.items())
+            found = self._select(list(blobs))
+            rewrite = []
+            for key, blob in blobs.items():
+                stored[key] = _parse(found[key])
+                if stored[key] is None:
+                    rewrite.append((blob, key))
+                    stored[key] = json.loads(blob)
+            self._db.executemany("UPDATE responses SET blob = ? WHERE key = ?", rewrite)
         return stored
 
 
@@ -126,3 +206,9 @@ class MemoryCache:
 
     def put(self, key: str, record: dict) -> dict:
         return self._store.setdefault(key, dict(record))
+
+    def get_many(self, keys: Iterable[str]) -> dict[str, dict]:
+        return {key: self._store[key] for key in keys if key in self._store}
+
+    def put_many(self, items: Iterable[tuple[str, dict]]) -> dict[str, dict]:
+        return {key: self.put(key, record) for key, record in items}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -118,40 +118,44 @@ def fetch_cached(backend: object, cache: Cache, requests: Iterable[tuple[str, An
                  call: Callable[[list], list[dict]], chunk: int = 1) -> dict[str, dict]:
     """{cache key: stored record} for many (cache key, request) pairs.
 
-    Each distinct key is read from the cache once. The misses go to `call`
-    in request order, `chunk` at a time; it returns one record per request,
-    and each is stored under its key (single-flight). An `HttpBackend` gets
-    up to MAX_IN_FLIGHT calls at once, any other backend one at a time.
-    After a failed call no further call starts, the calls in flight finish
-    and are stored, and the earliest failure is raised.
+    The distinct keys are read from the cache with one `get_many`. The misses
+    go to `call` in request order, `chunk` at a time; it returns one record
+    per request, and each call's records are stored under their keys
+    (single-flight) with one `put_many` as the call returns, always from
+    this thread. An `HttpBackend` gets up to MAX_IN_FLIGHT calls at once,
+    any other backend one at a time. After a failed call no further call
+    starts, the calls in flight finish, every finished call's records are
+    stored, and the earliest failure in request order is raised.
     """
-    records: dict[str, dict] = {}
-    misses: dict[str, Any] = {}  # cache key -> request, in first-seen order
+    wanted: dict[str, Any] = {}  # cache key -> request, in first-seen order
     for key, request in requests:
-        if key in records or key in misses:
-            continue
-        hit = cache.get(key)
-        if hit is None:
-            misses[key] = request
-        else:
-            records[key] = hit
-    keys = list(misses)
+        wanted.setdefault(key, request)
+    records = cache.get_many(wanted)
+    keys = [key for key in wanted if key not in records]
     batches = [keys[i:i + chunk] for i in range(0, len(keys), chunk)]
 
     def fetch(batch: list[str]) -> dict[str, dict]:
-        fresh = call([misses[key] for key in batch])
-        return {key: cache.put(key, record) for key, record in zip(batch, fresh, strict=True)}
+        return dict(zip(batch, call([wanted[key] for key in batch]), strict=True))
 
     if len(batches) > 1 and isinstance(backend, HttpBackend):
         with ThreadPoolExecutor(MAX_IN_FLIGHT) as pool:
             futures = [pool.submit(fetch, batch) for batch in batches]
-            wait(futures, return_when=FIRST_EXCEPTION)
-            for future in futures:
-                future.cancel()  # only calls not yet started; leaving `with` waits for the rest
+            try:
+                for future in as_completed(futures):
+                    if future.cancelled():
+                        continue
+                    if future.exception() is not None:  # start no further call
+                        for other in futures:
+                            other.cancel()
+                    else:
+                        records.update(cache.put_many(future.result().items()))
+            finally:  # after a failed store too; leaving `with` waits for the calls in flight
+                for future in futures:
+                    future.cancel()
         for future in futures:  # request order, so the earliest failure is raised
-            if not future.cancelled():
-                records.update(future.result())
+            if not future.cancelled() and future.exception() is not None:
+                raise future.exception()
     else:
         for batch in batches:
-            records.update(fetch(batch))
+            records.update(cache.put_many(fetch(batch).items()))
     return records

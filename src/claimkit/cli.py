@@ -185,10 +185,10 @@ def _cmd_dedup(args) -> int:
     if args.dry_run:
         print(f"dry-run ok: {len(records)} records parsed")
         return 0
-    cache = DiskCache(args.cache_dir)
     kept, _ = dedup_minhash(records)
     backend = build_embedding_backend(args.embedding)
-    kept, _ = dedup_semantic(kept, backend, cache)
+    with DiskCache(args.cache_dir) as cache:
+        kept, _ = dedup_semantic(kept, backend, cache)
     _write_claims_atomic(kept, args.out)
     print(f"kept {len(kept)} of {len(records)} records")
     return 0
@@ -200,9 +200,9 @@ def _cmd_decontaminate(args) -> int:
     if args.dry_run:
         print(f"dry-run ok: {len(records)} train, {len(holdout)} holdout")
         return 0
-    cache = DiskCache(args.cache_dir)
     backend = build_embedding_backend(args.embedding)
-    kept, _ = decontaminate(records, holdout, backend, cache)
+    with DiskCache(args.cache_dir) as cache:
+        kept, _ = decontaminate(records, holdout, backend, cache)
     _write_claims_atomic(kept, args.out)
     print(f"kept {len(kept)} of {len(records)} records")
     return 0
@@ -213,19 +213,20 @@ def _cmd_select(args) -> int:
     if args.dry_run:
         print(f"dry-run ok: {len(records)} records parsed")
         return 0
-    selected = select_stratified(records, args.budget, args.strategy, args.seed,
-                                 build_embedding_backend(args.embedding),
-                                 DiskCache(args.cache_dir))
+    backend = build_embedding_backend(args.embedding)
+    with DiskCache(args.cache_dir) as cache:
+        selected = select_stratified(records, args.budget, args.strategy, args.seed,
+                                     backend, cache)
     _write_claims_atomic(selected, args.out)
     print(f"selected {len(selected)} of {len(records)} records")
     return 0
 
 
-def _reward_backends(args) -> RewardBackends:
+def _reward_backends(args, cache: DiskCache) -> RewardBackends:
     return RewardBackends(
         judge=build_judge_backend(args.judge),
         embedding=build_embedding_backend(args.embedding),
-        cache=DiskCache(args.cache_dir),
+        cache=cache,
         params=DecodingParams(),
     )
 
@@ -244,7 +245,6 @@ def _cmd_score(args) -> int:
     if args.dry_run:
         print(f"dry-run ok: {len(rows)} traces against {len(claims)} claims")
         return 0
-    bk = _reward_backends(args)
     jobs = []
     for row in rows:
         record = claims[row["id"]]
@@ -257,11 +257,12 @@ def _cmd_score(args) -> int:
         jobs.append((record, row["trace"], mode))
 
     # Plan every rollout, fetch all judge replies in one dispatch, then score.
-    bk = fetch_judge_replies(bk, (
-        request for record, trace, _ in jobs
-        for request in plan_judge_requests(record, parse_trace(trace))))
-    results = [total_reward(record, trace, mode, bk).to_json_obj(record.id)
-               for record, trace, mode in jobs]
+    with DiskCache(args.cache_dir) as cache:
+        bk = fetch_judge_replies(_reward_backends(args, cache), (
+            request for record, trace, _ in jobs
+            for request in plan_judge_requests(record, parse_trace(trace))))
+        results = [total_reward(record, trace, mode, bk).to_json_obj(record.id)
+                   for record, trace, mode in jobs]
     text = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in results)
     atomic_write_text(args.out, text)
     print(f"scored {len(results)} traces")
@@ -273,7 +274,6 @@ def _cmd_score_group(args) -> int:
     if args.dry_run:
         print(f"dry-run ok: {len(rows)} rollouts against {len(claims)} claims")
         return 0
-    bk = _reward_backends(args)
     groups: dict[str, list[dict]] = {}
     for row in rows:
         groups.setdefault(row["id"], []).append(row)
@@ -295,20 +295,21 @@ def _cmd_score_group(args) -> int:
         jobs.append((record, group, reports, mode, label_hat))
 
     # Plan every rollout, fetch all judge replies in one dispatch, then score.
-    bk = fetch_judge_replies(bk, (
-        request for record, _, reports, _, _ in jobs for report in reports
-        for request in plan_judge_requests(record, report)))
-    out_rows: list[dict] = []
-    for record, group, _, mode, label_hat in jobs:
-        scored = [total_reward(record, row["trace"], mode, bk).to_json_obj(record.id)
-                  for row in group]
-        advantages = group_advantages([r["total"] for r in scored])
-        for k, (row_out, adv) in enumerate(zip(scored, advantages)):
-            row_out["rollout"] = k
-            row_out["advantage"] = adv
-            if label_hat is not None:
-                row_out["pseudo_label"] = label_hat.value
-            out_rows.append(row_out)
+    with DiskCache(args.cache_dir) as cache:
+        bk = fetch_judge_replies(_reward_backends(args, cache), (
+            request for record, _, reports, _, _ in jobs for report in reports
+            for request in plan_judge_requests(record, report)))
+        out_rows: list[dict] = []
+        for record, group, _, mode, label_hat in jobs:
+            scored = [total_reward(record, row["trace"], mode, bk).to_json_obj(record.id)
+                      for row in group]
+            advantages = group_advantages([r["total"] for r in scored])
+            for k, (row_out, adv) in enumerate(zip(scored, advantages)):
+                row_out["rollout"] = k
+                row_out["advantage"] = adv
+                if label_hat is not None:
+                    row_out["pseudo_label"] = label_hat.value
+                out_rows.append(row_out)
 
     text = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in out_rows)
     atomic_write_text(args.out, text)

@@ -87,10 +87,10 @@ class ClaimRecord:
 
 
 class IngestError(ValueError):
-    """Malformed claims file; carries the 1-based line number."""
+    """Malformed claims file; names the file and carries the 1-based line number."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, path: str | Path, line_no: int, message: str):
+        super().__init__(f"{path} line {line_no}: {message}")
         self.line_no = line_no
 
 
@@ -101,7 +101,7 @@ def ingest_claims(
     """Read a claims JSONL file, mapping native label strings to the 2-way scheme.
 
     Preserves file order. Unmapped non-null labels, duplicate ids, and
-    schema violations raise IngestError with the offending line number.
+    schema violations raise IngestError naming the file and the offending line.
     """
     table = {k.lower(): v for k, v in (label_map or DEFAULT_LABEL_MAP).items()}
     records: list[ClaimRecord] = []
@@ -113,40 +113,40 @@ def ingest_claims(
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise IngestError(line_no, f"invalid JSON: {exc}") from exc
+                raise IngestError(path, line_no, f"invalid JSON: {exc}") from exc
             if not isinstance(obj, dict):
-                raise IngestError(line_no, "line is not a JSON object")
+                raise IngestError(path, line_no, "line is not a JSON object")
             for key in ("id", "claim", "evidence", "source"):
                 if key not in obj:
-                    raise IngestError(line_no, f"missing field {key!r}")
+                    raise IngestError(path, line_no, f"missing field {key!r}")
             rid = obj["id"]
             if not isinstance(rid, str) or not rid:
-                raise IngestError(line_no, "id must be a non-empty string")
+                raise IngestError(path, line_no, "id must be a non-empty string")
             if rid in seen_ids:
-                raise IngestError(line_no, f"duplicate id {rid!r}")
+                raise IngestError(path, line_no, f"duplicate id {rid!r}")
             seen_ids.add(rid)
             if not isinstance(obj["claim"], str) or not obj["claim"]:
-                raise IngestError(line_no, "claim must be a non-empty string")
+                raise IngestError(path, line_no, "claim must be a non-empty string")
             if not isinstance(obj["source"], str):
-                raise IngestError(line_no, "source must be a string")
+                raise IngestError(path, line_no, "source must be a string")
             evidence = obj["evidence"]
             if not isinstance(evidence, list) or not all(isinstance(p, str) for p in evidence):
-                raise IngestError(line_no, "evidence must be a list of strings")
+                raise IngestError(path, line_no, "evidence must be a list of strings")
             label = None
             raw_label = obj.get("label")
             if raw_label is not None:
                 if not isinstance(raw_label, str):
-                    raise IngestError(line_no, "label must be a string or null")
+                    raise IngestError(path, line_no, "label must be a string or null")
                 mapped = table.get(raw_label.lower())
                 if mapped is None:
-                    raise IngestError(line_no, f"unknown label string {raw_label!r}")
+                    raise IngestError(path, line_no, f"unknown label string {raw_label!r}")
                 label = mapped
             silver = obj.get("silver_question_count")
             if silver is not None and (not isinstance(silver, int) or silver < 1):
-                raise IngestError(line_no, "silver_question_count must be a positive integer")
+                raise IngestError(path, line_no, "silver_question_count must be a positive integer")
             meta = obj.get("meta")
             if meta is not None and not isinstance(meta, dict):
-                raise IngestError(line_no, "meta must be a JSON object or null")
+                raise IngestError(path, line_no, "meta must be a JSON object or null")
             records.append(
                 ClaimRecord(
                     id=rid,

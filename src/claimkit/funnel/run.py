@@ -40,11 +40,16 @@ from .stages import (
 
 SELECTORS = ("facility_location", "farthest_point", "random")
 
-# Config keys whose value must have one JSON type; numbers are checked as
-# they are converted.
+# Config keys whose value must have one JSON type; numbers are checked
+# separately.
 _CONFIG_SHAPES = {"inputs": list, "holdouts": list, "thresholds": dict, "backends": dict,
                   "cache_dir": str}
 _JSON_KINDS = {list: "array", dict: "object", str: "string"}
+
+
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -132,6 +137,9 @@ class FunnelConfig:
         unknown = sorted(set(obj.get("thresholds", {})) - {f.name for f in fields(RuleThresholds)})
         if unknown:
             raise ValueError(f"unknown threshold {unknown[0]!r}")
+        for name, value in sorted(obj.get("thresholds", {}).items()):
+            if not _is_number(value):
+                raise ValueError(f"config threshold {name!r} must be a number")
         names = [*obj.get("inputs", []), *obj.get("holdouts", []),
                  *obj.get("backends", {}).values()]
         if not all(isinstance(name, str) for name in names):
@@ -144,10 +152,10 @@ class FunnelConfig:
             thresholds=RuleThresholds(**obj.get("thresholds", {})),
             **{name: obj[name] for name in optional if name in obj},
         )
-        try:
-            cfg.budget, cfg.seed, cfg.max_tokens = map(int, (cfg.budget, cfg.seed, cfg.max_tokens))
-        except TypeError as exc:
-            raise ValueError("config budget, seed and max_tokens must be integers") from exc
+        counts = (cfg.budget, cfg.seed, cfg.max_tokens)
+        if not all(_is_number(v) and (isinstance(v, int) or v.is_integer()) for v in counts):
+            raise ValueError("config budget, seed and max_tokens must be integers")
+        cfg.budget, cfg.seed, cfg.max_tokens = map(int, counts)
         cfg.backends.update(obj.get("backends", {}))
         if cfg.selector not in SELECTORS:
             raise ValueError(f"unknown selector {cfg.selector!r}")
@@ -183,8 +191,8 @@ def _load_inputs(paths: Sequence[str], what: str) -> list[ClaimRecord]:
     for path in paths:
         try:
             batch = ingest_claims(path)
-        except (OSError, IngestError) as exc:
-            raise StageError("ingest", f"{what} file {path}: {exc}") from exc
+        except (OSError, IngestError) as exc:  # each names the file
+            raise StageError("ingest", f"{what} file: {exc}") from exc
         for rec in batch:
             if rec.id in seen:
                 raise StageError("ingest", f"duplicate id {rec.id!r} across {what} files")
@@ -236,7 +244,6 @@ def run_funnel(config: FunnelConfig) -> tuple[list[ClaimRecord], FunnelReport]:
     the run with a `StageError` naming the stage; a `StageError` raised
     inside a stage, such as a holdout ingest error, passes through as it is.
     """
-    cache = DiskCache(config.cache_dir)
     judge = build_judge_backend(config.backends["judge"])
     embedding = build_embedding_backend(config.backends["embedding"])
     verifier = build_verifier_backend(config.backends["verifier"])
@@ -268,15 +275,16 @@ def run_funnel(config: FunnelConfig) -> tuple[list[ClaimRecord], FunnelReport]:
 
     pool = _load_inputs(config.inputs, "input")
     report = FunnelReport()
-    for name, stage in stages:
-        try:
-            kept, rejected = stage(pool)
-        except StageError:
-            raise
-        except Exception as exc:
-            raise StageError(name, str(exc)) from exc
-        report.add(name, len(pool), len(kept), rejected)
-        previous, pool = pool, kept
+    with DiskCache(config.cache_dir) as cache:  # the stages above read `cache` when called
+        for name, stage in stages:
+            try:
+                kept, rejected = stage(pool)
+            except StageError:
+                raise
+            except Exception as exc:
+                raise StageError(name, str(exc)) from exc
+            report.add(name, len(pool), len(kept), rejected)
+            previous, pool = pool, kept
 
     # Augmentation draws from the pool as it was before selection.
     final = long_evidence_augment(previous, pool, LONG_EVIDENCE_TOKENS)

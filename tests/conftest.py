@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from claimkit.backends import DecodingParams
+from claimkit.backends import DecodingParams, DiskCache
 from claimkit.mock import HashEmbeddingBackend, HashJudgeBackend, HashVerifierBackend
 
 ANSWERS_BLOCK = re.compile(r"<answers>\n(.*?)\n</answers>", re.DOTALL)
@@ -364,3 +364,17 @@ def relay_server(monkeypatch):
     server.seen = {kind: [] for kind in server.mocks}
     server.status = {}
     yield from _serve(server)
+
+
+CACHE_FAULTS = ("not a database", "database is a directory", "cache dir is a file")
+
+
+def break_cache(root, fault):
+    """Make the cache directory `root` unopenable in one of CACHE_FAULTS' ways."""
+    if fault == "cache dir is a file":
+        root.write_text("not a directory")
+    elif fault == "database is a directory":
+        (root / DiskCache.FILE_NAME).mkdir(parents=True)
+    else:
+        root.mkdir()
+        (root / DiskCache.FILE_NAME).write_text("not a database\n" * 200)

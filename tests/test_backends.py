@@ -1,15 +1,20 @@
 """Backend layer: templates, cache, judge plumbing, parsers, embeddings,
 difficulty scoring."""
 
-import errno
 import json
 import os
 import re
+import sqlite3
+import subprocess
+import sys
 import threading
 import time
+from contextlib import closing
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import CACHE_FAULTS, break_cache
 
 from claimkit.backends import (
     DecodingParams,
@@ -95,17 +100,41 @@ class TestCache:
         assert cache_key("t", "p", "b", params) == base
 
     def test_disk_round_trip(self, tmp_path):
-        cache = DiskCache(tmp_path / "c")
         key = cache_key("t", "p", "b")
-        assert cache.get(key) is None
-        stored = cache.put(key, {"response": "hello"})
-        assert stored["response"] == "hello"
-        assert cache.get(key) == stored
-        # sharded layout: two-hex-char subdirectory
-        assert (tmp_path / "c" / key[:2] / f"{key}.json").exists()
+        with DiskCache(tmp_path / "c") as cache:
+            assert cache.get(key) is None
+            stored = cache.put(key, {"response": "hello"})
+            assert stored["response"] == "hello"
+            assert cache.get(key) == stored
+        # one database file, holding the record's JSON text under its key
+        assert [path.name for path in (tmp_path / "c").iterdir()] == [DiskCache.FILE_NAME]
+        assert _rows(tmp_path / "c") == [(key, '{"response": "hello"}')]
+        with DiskCache(tmp_path / "c") as cache:
+            assert cache.get(key) == stored
+
+    def test_shard_files_of_an_older_cache_read_cold_and_stay(self, tmp_path):
+        key = cache_key("t", "p", "b")
+        old = tmp_path / "c" / key[:2] / f"{key}.json"
+        old.parent.mkdir(parents=True)
+        old.write_text('{"response": "old"}')
+        with DiskCache(tmp_path / "c") as cache:
+            assert cache.get(key) is None
+            assert cache.put(key, {"response": "new"}) == {"response": "new"}
+        assert old.read_text() == '{"response": "old"}'
+
+    def test_many_round_trip(self, tmp_path):
+        keys = [cache_key("t", f"p{i}", "b") for i in range(3)]
+        with DiskCache(tmp_path / "c") as cache:
+            assert cache.get_many(keys) == {}
+            cache.put(keys[0], {"response": "first"})
+            stored = cache.put_many([(keys[1], {"response": "one"}), (keys[0], {"response": "x"}),
+                                     (keys[2], {"response": "two"})])
+            assert stored == {keys[0]: {"response": "first"}, keys[1]: {"response": "one"},
+                              keys[2]: {"response": "two"}}
+            assert cache.get_many(keys + keys[:1]) == stored
+            assert cache.put_many([]) == {}
 
     def test_fresh_put_reads_no_file_and_returns_what_get_reads(self, tmp_path, monkeypatch):
-        cache = DiskCache(tmp_path / "c")
         key = cache_key("t", "p", "b")
         record = {"response": "héllo", "vector": (0.5, 1), "nested": {"b": 1, "a": None}}
         reads = []
@@ -116,36 +145,23 @@ class TestCache:
                 reads.append(file)
             return real_open(file, mode, *args, **kwargs)
 
-        monkeypatch.setattr("builtins.open", spy_open)
-        stored = cache.put(key, record)
-        assert reads == []
-        assert stored == cache.get(key)
-        assert reads != []  # the spy does see get's read
+        with DiskCache(tmp_path / "c") as cache:
+            monkeypatch.setattr("builtins.open", spy_open)
+            stored = cache.put(key, record)
+            assert stored == cache.get(key)
+            assert reads == []  # no per-key file; the database is the store
         assert stored["vector"] == [0.5, 1]  # the tuple comes back as a list
         assert list(stored) == sorted(record)
+        # the fresh write returns its own JSON text parsed
+        assert json.loads(_rows(tmp_path / "c")[0][1]) == stored
 
     def test_first_writer_wins(self, tmp_path):
-        cache = DiskCache(tmp_path / "c")
-        key = cache_key("t", "p", "b")
-        first = cache.put(key, {"response": "one"})
-        second = cache.put(key, {"response": "two"})
-        assert first["response"] == "one"
-        assert second["response"] == "one"
-
-    @pytest.mark.parametrize("error", [PermissionError(errno.EPERM, "Operation not permitted"),
-                                       OSError(errno.ENOTSUP, "Operation not supported")])
-    def test_first_writer_wins_without_hard_links(self, tmp_path, monkeypatch, error):
-        def no_link(src, dst):
-            raise error
-
-        monkeypatch.setattr(os, "link", no_link)
-        cache = DiskCache(tmp_path / "c")
-        key = cache_key("t", "p", "b")
-        assert cache.put(key, {"response": "one"}) == {"response": "one"}
-        assert cache.get(key) == {"response": "one"}
-        assert cache.put(key, {"response": "two"}) == {"response": "one"}
-        assert cache.get(key) == {"response": "one"}
-        assert not list((tmp_path / "c" / key[:2]).glob("*.tmp"))
+        with DiskCache(tmp_path / "c") as cache:
+            key = cache_key("t", "p", "b")
+            first = cache.put(key, {"response": "one"})
+            second = cache.put(key, {"response": "two"})
+            assert first["response"] == "one"
+            assert second["response"] == "one"
 
     def test_concurrent_writers_agree(self, tmp_path):
         cache = DiskCache(tmp_path / "c")
@@ -161,18 +177,75 @@ class TestCache:
         for t in threads:
             t.join()
         assert len(set(results)) == 1
+        cache.close()
+
+    def test_writer_processes_agree(self, tmp_path):
+        # Two processes, released together, put the same 1000 keys from
+        # opposite ends, each with its own record; they meet somewhere in the
+        # middle, and each key's first writer wins for both.
+        src = Path(__file__).resolve().parents[1] / "src"
+        script = (
+            "import json, os, sys\n"
+            "from claimkit.backends.cache import DiskCache\n"
+            "name, root, go = sys.argv[1:]\n"
+            "keys = [f'key-{i}' for i in range(1000)]\n"
+            "with DiskCache(root) as cache:\n"
+            "    print('ready', flush=True)\n"
+            "    while not os.path.exists(go):\n"
+            "        pass\n"
+            "    got = {key: cache.put(key, {'writer': name})['writer']\n"
+            "           for key in (keys if name == 'a' else keys[::-1])}\n"
+            "print(json.dumps(got, sort_keys=True))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src))
+        go = tmp_path / "go"
+        procs = [subprocess.Popen([sys.executable, "-c", script, name, str(tmp_path / "c"),
+                                   str(go)], env=env, stdout=subprocess.PIPE,
+                                  stderr=subprocess.PIPE, text=True)
+                 for name in ("a", "b")]
+        try:
+            ready = [proc.stdout.readline() for proc in procs]
+            go.touch()
+            outs = [proc.communicate(timeout=60) for proc in procs]
+        finally:
+            for proc in procs:
+                proc.kill()
+        assert ready == ["ready\n"] * 2 and [proc.returncode for proc in procs] == [0, 0], outs
+        got_a, got_b = (json.loads(out) for out, _ in outs)
+        assert got_a == got_b
+        with DiskCache(tmp_path / "c") as cache:
+            assert {key: record["writer"] for key, record in cache.get_many(got_a).items()} == got_a
 
     def test_unparseable_file_is_a_miss_and_replaced(self, tmp_path):
-        cache = DiskCache(tmp_path / "c")
-        key = cache_key("t", "p", "b")
-        cache.put(key, {"response": "h\u00e9llo"})
-        path = tmp_path / "c" / key[:2] / f"{key}.json"
-        for cut in (b"", path.read_bytes()[:-3], "{\"response\": \"h\u00e9".encode()[:-1]):
-            path.write_bytes(cut)  # a write cut short, in JSON or mid-character
-            assert cache.get(key) is None
-            assert cache.put(key, {"response": "again"})["response"] == "again"
-            assert json.loads(path.read_text(encoding="utf-8")) == {"response": "again"}
-            assert not list(path.parent.glob("*.tmp"))
+        key, other = cache_key("t", "p", "b"), cache_key("t", "q", "b")
+        with DiskCache(tmp_path / "c") as cache:
+            cache.put(key, {"response": "h\u00e9llo"})
+            cache.put(other, {"response": "kept"})
+            blob = _rows(tmp_path / "c")[0][1].encode()
+            for cut in (b"", blob[:-3], "{\"response\": \"h\u00e9".encode()[:-1]):
+                # a row cut short, in JSON or mid-character
+                with closing(sqlite3.connect(tmp_path / "c" / DiskCache.FILE_NAME)) as db, db:
+                    db.execute("UPDATE responses SET blob = CAST(? AS TEXT) WHERE key = ?",
+                               (cut, key))
+                assert cache.get(key) is None
+                assert cache.get_many([key, other]) == {other: {"response": "kept"}}
+                stored = cache.put_many([(key, {"response": "again"}), (other, {"response": "x"})])
+                assert stored == {key: {"response": "again"}, other: {"response": "kept"}}
+                assert _rows(tmp_path / "c") == [(key, '{"response": "again"}'),
+                                                 (other, '{"response": "kept"}')]
+
+    @pytest.mark.parametrize("fault", CACHE_FAULTS)
+    def test_unopenable_cache_is_os_error_naming_the_path(self, tmp_path, fault):
+        root = tmp_path / "c"
+        break_cache(root, fault)
+        with pytest.raises(OSError, match=re.escape(str(root))):
+            DiskCache(root)
+
+
+def _rows(root):
+    """The cache table's (key, blob) rows, in insertion order."""
+    with closing(sqlite3.connect(root / DiskCache.FILE_NAME)) as db:
+        return db.execute("SELECT key, blob FROM responses ORDER BY rowid").fetchall()
 
 
 class TestJudgePlumbing:
@@ -207,7 +280,7 @@ class TestJudgePlumbing:
         assert len(calls) == 1
 
     def test_generate_many_single_flight(self):
-        calls, gets = [], []
+        calls, gets, puts = [], [], []
 
         class Counting:
             backend_id = "counting"
@@ -217,16 +290,24 @@ class TestJudgePlumbing:
                 return f"reply to {prompt}"
 
         class CountingCache(MemoryCache):
-            def get(self, key):
-                gets.append(key)
-                return super().get(key)
+            def get_many(self, keys):
+                gets.append(list(keys))
+                return super().get_many(keys)
+
+            def put_many(self, items):
+                items = list(items)
+                puts.append([key for key, _ in items])
+                return super().put_many(items)
 
         cache, params = CountingCache(), DecodingParams()
         cache.put(cache_key("t", "hit", "counting", params), {"response": "stored"})
         requests = [("t", "b"), ("t", "a"), ("t", "b"), ("t", "hit"), ("u", "b"), ("t", "a")]
         replies = judge_generate_many(Counting(), requests, params, cache)
         assert calls == ["b", "a", "b"]  # in request order; ("u", "b") is another cache key
-        assert len(gets) == len(set(gets)) == 4
+        assert len(gets) == 1 and len(gets[0]) == len(set(gets[0])) == 4  # one read, each key once
+        # each call's record stored as it returns, with one put_many
+        assert puts == [[cache_key(t, prompt, "counting", params)]
+                        for t, prompt in (("t", "b"), ("t", "a"), ("u", "b"))]
         assert replies == {("t", prompt_digest("b")): "reply to b",
                            ("t", prompt_digest("a")): "reply to a",
                            ("t", prompt_digest("hit")): "stored",
@@ -239,16 +320,41 @@ class TestJudgePlumbing:
             if prompt in ("p1", "p3"):
                 time.sleep(0.4 if prompt == "p1" else 0.2)  # p3 fails first
                 return (400 if prompt == "p1" else 404), ""
+            if prompt == "p4":
+                time.sleep(0.3)  # in flight when p3 fails, and stored all the same
             return 200, f"ok {prompt}"
 
         judge_server.respond = respond
-        cache, params = MemoryCache(), DecodingParams()
+        threads = set()
+
+        class ThreadCache(MemoryCache):
+            def put_many(self, items):
+                threads.add(threading.get_ident())
+                return super().put_many(items)
+
+        cache, params = ThreadCache(), DecodingParams()
         backend = HttpJudgeBackend(judge_server.url)
         with pytest.raises(ProtocolError, match="400"):
             judge_generate_many(backend, [("t", f"p{i}") for i in range(6)], params, cache)
         for i in (0, 2, 4, 5):
             assert cache.get(cache_key("t", f"p{i}", backend.backend_id, params)) is not None
         assert sorted(judge_server.prompts) == [f"p{i}" for i in range(6)]
+        assert threads == {threading.get_ident()}  # stored from the submitting thread only
+
+    def test_generate_many_stores_finished_calls_before_raising(self):
+        class FailsOnC:
+            backend_id = "fails-on-c"
+
+            def generate(self, prompt, params):
+                if prompt == "c":
+                    raise TransportError("no reply for c")
+                return f"reply to {prompt}"
+
+        cache, params = MemoryCache(), DecodingParams()
+        with pytest.raises(TransportError, match="no reply for c"):
+            judge_generate_many(FailsOnC(), [("t", p) for p in "abcd"], params, cache)
+        assert [cache.get(cache_key("t", p, "fails-on-c", params)) is not None
+                for p in "abcd"] == [True, True, False, False]
 
     def test_generate_many_starts_no_call_after_a_failure(self, judge_server):
         def respond(prompt):
@@ -339,15 +445,15 @@ class TestEmbeddings:
         gets = []
 
         class CountingCache(MemoryCache):
-            def get(self, key):
-                gets.append(key)
-                return super().get(key)
+            def get_many(self, keys):
+                gets.append(list(keys))
+                return super().get_many(keys)
 
         sent.clear()
         texts = [f"text {i}" for i in range(2 * EMBED_CHUNK + 1)]
         embed(texts + texts, Counting(), CountingCache())
         assert sent == [texts[:EMBED_CHUNK], texts[EMBED_CHUNK:-1], texts[-1:]]
-        assert len(gets) == len(texts)  # one cache read per distinct text
+        assert len(gets) == 1 and len(gets[0]) == len(texts)  # one read, each distinct text once
 
     def test_fixture_embedding(self, tmp_path):
         path = tmp_path / "vec.jsonl"

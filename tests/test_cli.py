@@ -2,16 +2,20 @@
 
 import json
 import os
+import sqlite3
 import subprocess
 import sys
+from contextlib import closing
 from pathlib import Path
 
 import pytest
+from conftest import CACHE_FAULTS, break_cache
 
+from claimkit.backends import DiskCache
 from claimkit.backends.embeddings import EMBED_CHUNK
 from claimkit.cli import dispatch
 from claimkit.corpus import ClaimRecord, HeuristicEntityCounter, Label, ingest_claims, write_claims
-from claimkit.funnel import FunnelReport, RuleThresholds, rule_filter
+from claimkit.funnel import FunnelConfig, FunnelReport, RuleThresholds, rule_filter
 from claimkit.synthetic import funnel_corpus, holdout_corpus
 
 VALID_TRACE = (
@@ -243,14 +247,16 @@ class TestScoring:
         argv = ["score", "--traces", str(traces), "--claims", str(claims),
                 "--cache-dir", str(cache), "--out"]
         assert dispatch(argv + [str(tmp_path / "first.jsonl")]) == 0
-        files = sorted(cache.rglob("*.json"))
-        for path in files[::2]:  # judge replies and embeddings alike
-            path.write_bytes(path.read_bytes()[:20])
+        with closing(sqlite3.connect(cache / DiskCache.FILE_NAME)) as db, db:
+            rows = db.execute("SELECT key, blob FROM responses ORDER BY key").fetchall()
+            cut = [json.loads(blob) for _, blob in rows[::2]]
+            assert any("response" in r for r in cut) and any("vector" in r for r in cut)
+            db.executemany("UPDATE responses SET blob = ? WHERE key = ?",
+                           [(blob[:20], key) for key, blob in rows[::2]])
         assert dispatch(argv + [str(tmp_path / "second.jsonl")]) == 0
         assert (tmp_path / "first.jsonl").read_bytes() == (tmp_path / "second.jsonl").read_bytes()
-        assert sorted(cache.rglob("*.json")) == files
-        for path in files:
-            json.loads(path.read_text(encoding="utf-8"))
+        with closing(sqlite3.connect(cache / DiskCache.FILE_NAME)) as db:
+            assert db.execute("SELECT key, blob FROM responses ORDER BY key").fetchall() == rows
 
     def test_score_unknown_id_is_usage_error(self, tmp_path, corpus_files):
         claims, traces = self._write_score_inputs(tmp_path, corpus_files)
@@ -332,11 +338,12 @@ class TestEval:
 
 
 def test_cli_import_leaves_requests_unloaded():
-    # `requests` is imported on the first HTTP call; loading it with the CLI
-    # would add its import time to every command.
+    # `requests` is imported on the first HTTP call and `sqlite3` when a cache
+    # is opened; loading either with the CLI would add its import time to
+    # every command.
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = "import sys, claimkit.cli; sys.exit('requests' in sys.modules)"
+    code = "import sys, claimkit.cli; sys.exit('requests' in sys.modules or 'sqlite3' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
 
@@ -386,6 +393,18 @@ def _malformed_argv(case, tmp_path, claims):
             "--cache-dir", str(tmp_path / "c")],
         "source not a string": lambda: select(source=5),
         "meta not an object": lambda: select(meta=[1, 2]),
+        "threshold not a number": lambda: funnel(dict(config, thresholds={"min_passages": "3"})),
+        "threshold a bool": lambda: funnel(dict(config, thresholds={"min_entities": True})),
+        "budget not integral": lambda: funnel(dict(config, budget=2.7)),
+        "seed a string": lambda: funnel(dict(config, seed="3")),
+        "holdout claim not a string": lambda: [
+            "decontaminate", "--claims", str(claims), "--holdout", bad_claims(claim=5),
+            "--out", str(tmp_path / "out.jsonl"), "--cache-dir", str(tmp_path / "c")],
+        "gold claim not a string": lambda: [
+            "eval", "--preds", _write_lines(tmp_path / "p.jsonl", [json.dumps(
+                {"id": first, "pred": "Supported"})]), "--gold", bad_claims(claim=5)],
+        "funnel holdout claim not a string": lambda: funnel(dict(
+            config, holdouts=[bad_claims(claim=5)], cache_dir=str(tmp_path / "c"))),
     }[case]()
 
 
@@ -413,6 +432,79 @@ class TestMalformedInput:
         assert dispatch(_malformed_argv(case, tmp_path, corpus_files[0])) == code
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("case, code, line", [
+        ("threshold not a number", 1, "error: config threshold 'min_passages' must be a number"),
+        ("threshold a bool", 1, "error: config threshold 'min_entities' must be a number"),
+        ("budget not integral", 1, "error: config budget, seed and max_tokens must be integers"),
+        ("seed a string", 1, "error: config budget, seed and max_tokens must be integers"),
+        ("holdout claim not a string", 2,
+         "error: usage: {tmp}/bad-claims.jsonl line 4: claim must be a non-empty string"),
+        ("gold claim not a string", 2,
+         "error: usage: {tmp}/bad-claims.jsonl line 4: claim must be a non-empty string"),
+        ("funnel holdout claim not a string", 1, "error: stage ingest: holdout file: "
+         "{tmp}/bad-claims.jsonl line 4: claim must be a non-empty string"),
+    ])
+    def test_error_line_names_the_fault(self, tmp_path, corpus_files, capsys, case, code, line):
+        # Config values are checked before any stage runs, and a claims
+        # error names the file, which matters for commands that read two.
+        assert dispatch(_malformed_argv(case, tmp_path, corpus_files[0])) == code
+        assert capsys.readouterr().err.splitlines() == [line.format(tmp=tmp_path)]
+
+    def test_integral_float_config_counts_accepted(self, tmp_path, corpus_files):
+        cfg = _write_lines(tmp_path / "cfg.json", [json.dumps(
+            {"inputs": [str(corpus_files[0])], "budget": 10.0, "max_tokens": 512.0})])
+        config = FunnelConfig.from_json_file(cfg)
+        assert (config.budget, config.max_tokens) == (10, 512)
+        assert isinstance(config.budget, int) and isinstance(config.max_tokens, int)
+
+
+CACHE_COMMANDS = ("dedup", "decontaminate", "select", "score", "score-group", "funnel run")
+
+
+def _cache_command_argv(command, tmp_path, corpus_files, funnel_config):
+    """argv, less --out and --cache-dir, for a command that opens a cache."""
+    claims, hold = corpus_files
+    scored = [rec.with_silver_count(2) for rec in ingest_claims(claims)[:4]]
+    write_claims(scored, tmp_path / "scored.jsonl")
+    traces = _write_lines(tmp_path / "traces.jsonl", [json.dumps(
+        {"id": rec.id, "trace": VALID_TRACE.format(verdict="Supported")})
+        for rec in scored for _ in range(2)])
+    return {
+        "dedup": ["dedup", "--claims", str(claims)],
+        "decontaminate": ["decontaminate", "--claims", str(claims), "--holdout", str(hold)],
+        "select": ["select", "--claims", str(claims), "--budget", "4"],
+        "score": ["score", "--claims", str(tmp_path / "scored.jsonl"), "--traces", traces],
+        "score-group": ["score-group", "--claims", str(tmp_path / "scored.jsonl"),
+                        "--traces", traces],
+        "funnel run": ["funnel", "run", "--config", str(funnel_config),
+                       "--report", str(tmp_path / "r.json")],
+    }[command]
+
+
+class TestCacheLifetime:
+    @pytest.mark.parametrize("command", CACHE_COMMANDS)
+    def test_command_closes_the_cache(self, tmp_path, corpus_files, funnel_config, command):
+        # Closing SQLite's last connection to a WAL database folds the log
+        # back into the file and deletes it, so a leftover -wal file means
+        # the command left its cache open.
+        argv = _cache_command_argv(command, tmp_path, corpus_files, funnel_config)
+        cache = tmp_path / "c"
+        assert dispatch(argv + ["--out", str(tmp_path / "out.jsonl"),
+                                "--cache-dir", str(cache)]) == 0
+        assert [path.name for path in cache.iterdir()] == [DiskCache.FILE_NAME]
+
+    @pytest.mark.parametrize("fault", CACHE_FAULTS)
+    @pytest.mark.parametrize("command", CACHE_COMMANDS)
+    def test_unopenable_cache_is_one_error_line(self, tmp_path, corpus_files, funnel_config,
+                                                capsys, fault, command):
+        argv = _cache_command_argv(command, tmp_path, corpus_files, funnel_config)
+        cache, out = tmp_path / "broken", tmp_path / "out.jsonl"
+        break_cache(cache, fault)
+        assert dispatch(argv + ["--out", str(out), "--cache-dir", str(cache)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(cache) in err[0]
+        assert not out.exists()
 
 
 class TestExitCodes:
