@@ -269,6 +269,7 @@ class _CannedHandler(_QuietHandler):
     def do_POST(self):
         self.rfile.read(int(self.headers.get("Content-Length", 0)))
         self.server.requests += 1
+        self.server.content_type = self.headers.get("Content-Type")
         reply = self.server.queue.pop(0) if self.server.queue else self.server.reply
         self._send(*reply)
 
@@ -289,7 +290,8 @@ def _serve(server):
 def loopback(monkeypatch):
     """One-thread HTTP server on 127.0.0.1 that answers each POST with the
     next (status, body bytes[, headers]) in `server.queue`, then with
-    `server.reply`, and counts requests in `server.requests`."""
+    `server.reply`, counts requests in `server.requests` and keeps the last
+    request's Content-Type in `server.content_type`."""
     monkeypatch.setenv("NO_PROXY", "127.0.0.1")
     server = HTTPServer(("127.0.0.1", 0), _CannedHandler)
     server.reply = (200, b"{}")
@@ -301,6 +303,32 @@ def loopback(monkeypatch):
 class _ThreadedServer(ThreadingHTTPServer):
     daemon_threads = True
     request_queue_size = 64  # above the client's concurrent requests
+
+
+class _HangupHandler(_QuietHandler):
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        with self.server.lock:
+            self.server.requests += 1
+        if self.server.stall:
+            self.rfile.read(1)  # no byte follows the body: returns once the client hangs up
+        else:
+            self.wfile.write(self.server.raw)
+
+
+@pytest.fixture()
+def hangup_server(monkeypatch):
+    """Threaded server on 127.0.0.1 that reads each POST, counts it in
+    `server.requests`, writes the bytes `server.raw` (none by default) and
+    closes the connection. With `server.stall` set it writes nothing and
+    holds the connection open until the client closes it."""
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    server = _ThreadedServer(("127.0.0.1", 0), _HangupHandler)
+    server.lock = threading.Lock()
+    server.requests = 0
+    server.raw = b""
+    server.stall = False
+    yield from _serve(server)
 
 
 class _JudgeHandler(_QuietHandler):

@@ -4,6 +4,7 @@ difficulty scoring."""
 import json
 import os
 import re
+import socket
 import sqlite3
 import subprocess
 import sys
@@ -549,6 +550,7 @@ class TestHttpFaults:
         loopback.reply = (200, json.dumps({field: value}).encode())
         assert self._call(kind, loopback) == value
         assert loopback.requests == 1
+        assert loopback.content_type == "application/json"
 
     def test_5xx_retried_then_transport_error(self, kind, loopback, monkeypatch):
         sleeps = []
@@ -588,6 +590,73 @@ class TestHttpFaults:
         with pytest.raises(ProtocolError):
             self._call(kind, loopback)
         assert loopback.requests == 1
+
+    @pytest.mark.parametrize("status", [307, 308, 201])
+    def test_redirect_or_other_2xx_is_protocol_error_at_once(self, kind, loopback, status):
+        # a 307 or 308 is not followed, so the body is never re-posted elsewhere
+        loopback.reply = (status, b"{}", {"Location": loopback.url})
+        with pytest.raises(ProtocolError, match=str(status)):
+            self._call(kind, loopback)
+        assert loopback.requests == 1
+
+    def _gives_up(self, kind, url, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(transport.time, "sleep", sleeps.append)
+        cls, call, _, _ = HTTP_BACKENDS[kind]
+        with pytest.raises(TransportError):
+            call(cls(url))
+        # a backoff before each retry, none after the last
+        assert sleeps == [RETRY_BACKOFF_S * 2 ** i for i in range(RETRIES)]
+
+    def test_closed_port_is_transport_error(self, kind, monkeypatch):
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        with socket.socket() as sock:  # a port that was free and is closed again
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        self._gives_up(kind, f"http://127.0.0.1:{port}/", monkeypatch)
+
+    @pytest.mark.parametrize("raw", [b"", b"NOT HTTP\r\n\r\n",
+                                     b"HTTP/1.0 200 OK\r\nContent-Length: 100\r\n\r\n{"],
+                             ids=["no-reply", "bad-status-line", "short-body"])
+    def test_hang_up_is_transport_error(self, kind, hangup_server, monkeypatch, raw):
+        hangup_server.raw = raw
+        self._gives_up(kind, hangup_server.url, monkeypatch)
+        assert hangup_server.requests == RETRIES + 1
+
+    def test_reply_slower_than_timeout_is_transport_error(self, kind, hangup_server,
+                                                          monkeypatch):
+        monkeypatch.setattr(transport, "TIMEOUT_S", 0.1)
+        hangup_server.stall = True
+        self._gives_up(kind, hangup_server.url, monkeypatch)
+        assert hangup_server.requests == RETRIES + 1
+
+    def test_proxy_from_environment(self, kind, loopback, monkeypatch):
+        """HTTP_PROXY routes a call through the proxy; NO_PROXY naming the
+        endpoint's host makes the call connect to that host directly."""
+        looked_up = []
+        getaddrinfo = socket.getaddrinfo
+
+        def loopback_only(host, *args, **kwargs):  # never asks a name server
+            looked_up.append(host)
+            if host != "127.0.0.1":
+                raise socket.gaierror(socket.EAI_NONAME, "name not resolved in tests")
+            return getaddrinfo(host, *args, **kwargs)
+
+        monkeypatch.setattr(socket, "getaddrinfo", loopback_only)
+        monkeypatch.setattr(transport.time, "sleep", lambda s: None)
+        for name in ("http_proxy", "no_proxy", "all_proxy", "ALL_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("HTTP_PROXY", loopback.url)
+        cls, call, field, value = HTTP_BACKENDS[kind]
+        loopback.reply = (200, json.dumps({field: value}).encode())
+        endpoint = "http://claimkit-judge.invalid/"
+        assert call(cls(endpoint)) == value
+        assert (loopback.requests, looked_up) == (1, ["127.0.0.1"])
+        monkeypatch.setenv("NO_PROXY", "claimkit-judge.invalid")
+        with pytest.raises(TransportError):
+            call(cls(endpoint))
+        assert loopback.requests == 1
+        assert looked_up[1:] == ["claimkit-judge.invalid"] * (RETRIES + 1)
 
 
 def test_misaligned_vectors_is_protocol_error(loopback):

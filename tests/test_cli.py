@@ -337,13 +337,14 @@ class TestEval:
                          "--gold", str(claims)]) == 1
 
 
-def test_cli_import_leaves_requests_unloaded():
-    # `requests` is imported on the first HTTP call and `sqlite3` when a cache
-    # is opened; loading either with the CLI would add its import time to
-    # every command.
+def test_cli_import_leaves_http_client_and_sqlite3_unloaded():
+    # The HTTP client is imported on the first HTTP call and `sqlite3` when a
+    # cache is opened; loading either with the CLI would add its import time
+    # to every command.
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = "import sys, claimkit.cli; sys.exit('requests' in sys.modules or 'sqlite3' in sys.modules)"
+    code = ("import sys, claimkit.cli; "
+            "sys.exit(sorted({'urllib.request', 'http.client', 'sqlite3'} & sys.modules.keys()) or None)")
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
 
