@@ -38,14 +38,16 @@ class HttpBackend:
 
     Calls go through one `urllib.request` opener per instance, built on the
     first call, so proxies come from HTTP(S)_PROXY and NO_PROXY as they are
-    set then. A connection error (refused, reset, timed out, closed without
-    a reply), a 429 or a 5xx reply is retried RETRIES times and then raises
-    TransportError. Before retrying a 429 or 5xx reply that carries a
-    numeric Retry-After header, the call sleeps that many seconds, at most
-    RETRY_AFTER_MAX_S; before any other retry it sleeps RETRY_BACKOFF_S,
-    doubled for each retry after the first. Any other status but 200 (a
-    307 or 308 redirect included, which is not followed), a non-JSON body,
-    or a reply that is not an object holding the field raises ProtocolError.
+    set then; an https: endpoint's opener holds one TLS context, so the CA
+    store is loaded once. A connection error (refused, reset, timed out,
+    closed without a reply), a 429 or a 5xx reply is retried RETRIES times
+    and then raises TransportError. Before retrying a 429 or 5xx reply that
+    carries a numeric Retry-After header, the call sleeps that many seconds,
+    at most RETRY_AFTER_MAX_S; before any other retry it sleeps
+    RETRY_BACKOFF_S, doubled for each retry after the first. Any other
+    status but 200 (any 3xx included: no redirect is followed, so the body
+    is never re-posted or dropped for a GET), a non-JSON body, or a reply
+    that is not an object holding the field raises ProtocolError.
     """
 
     def __init__(self, endpoint: str):
@@ -63,7 +65,7 @@ class HttpBackend:
 
         opener = self._opener
         if opener is None:  # threads racing here at most build a spare opener
-            opener = self._opener = urllib.request.build_opener()
+            opener = self._opener = _build_opener(self.endpoint)
         data = json.dumps(body).encode("utf-8")
         last_exc: Exception | None = None
         for attempt in range(RETRIES + 1):
@@ -79,6 +81,9 @@ class HttpBackend:
             except HTTPError as exc:  # a status outside 2xx
                 exc.close()
                 status = exc.code
+                if 300 <= status < 400:
+                    raise ProtocolError(f"unexpected status {status} redirecting to "
+                                        f"{exc.headers.get('Location')!r}, not followed") from None
                 if status != 429 and status < 500:
                     raise ProtocolError(f"unexpected status {status}") from None
                 last_exc = TransportError(f"server replied {status}")
@@ -99,6 +104,24 @@ class HttpBackend:
                 raise ProtocolError(f"reply missing {field!r} field")
             return payload[field]
         raise TransportError(f"endpoint {self.endpoint} unreachable: {last_exc}")
+
+
+def _build_opener(endpoint: str):
+    """A `urllib.request` opener that follows no redirect and, for an https:
+    endpoint, verifies every connection with one shared TLS context. Without
+    one, each connection builds a default context and reloads the CA store."""
+    import urllib.request
+
+    class NoRedirect(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, *args, **kwargs):
+            return None  # the 3xx reply then raises HTTPError
+
+    handlers = [NoRedirect()]
+    if endpoint.lower().startswith("https:"):
+        import ssl
+
+        handlers.append(urllib.request.HTTPSHandler(context=ssl.create_default_context()))
+    return urllib.request.build_opener(*handlers)
 
 
 class FixtureBackend:

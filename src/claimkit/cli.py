@@ -31,16 +31,15 @@ from .funnel.run import SELECTORS
 # Unused here, but perfbench/tracing.py wraps these module-level names.
 from .backends import embed  # noqa: F401
 from .funnel import allocate_budgets, lazy_greedy  # noqa: F401
+from .rewards import total_reward  # noqa: F401
 from .metrics import balanced_accuracy, stage_report_render
 from .rewards import (
     Labeled,
     RewardBackends,
     Unlabeled,
-    fetch_judge_replies,
     group_advantages,
-    plan_judge_requests,
     pseudo_label,
-    total_reward,
+    score_rollouts,
 )
 from .trace import parse_trace
 from .wiring import build_embedding_backend, build_judge_backend
@@ -222,13 +221,15 @@ def _cmd_select(args) -> int:
     return 0
 
 
-def _reward_backends(args, cache: DiskCache) -> RewardBackends:
-    return RewardBackends(
-        judge=build_judge_backend(args.judge),
-        embedding=build_embedding_backend(args.embedding),
-        cache=cache,
-        params=DecodingParams(),
-    )
+def _score_rows(args, rollouts) -> list[dict]:
+    """Output rows of (record, parsed trace, mode) rollouts, scored from one
+    plan, fetched in one dispatch."""
+    with DiskCache(args.cache_dir) as cache:
+        bk = RewardBackends(judge=build_judge_backend(args.judge),
+                            embedding=build_embedding_backend(args.embedding),
+                            cache=cache, params=DecodingParams())
+        scored = score_rollouts(rollouts, bk)
+    return [b.to_json_obj(record.id) for b, (record, _, _) in zip(scored, rollouts)]
 
 
 def _load_trace_rows(args) -> tuple[list[dict], dict[str, ClaimRecord]]:
@@ -245,7 +246,7 @@ def _cmd_score(args) -> int:
     if args.dry_run:
         print(f"dry-run ok: {len(rows)} traces against {len(claims)} claims")
         return 0
-    jobs = []
+    rollouts = []
     for row in rows:
         record = claims[row["id"]]
         if args.mode == "labeled":
@@ -254,15 +255,9 @@ def _cmd_score(args) -> int:
             mode = Labeled(record.label)
         else:
             mode = Unlabeled(None)
-        jobs.append((record, row["trace"], mode))
+        rollouts.append((record, parse_trace(row["trace"]), mode))
 
-    # Plan every rollout, fetch all judge replies in one dispatch, then score.
-    with DiskCache(args.cache_dir) as cache:
-        bk = fetch_judge_replies(_reward_backends(args, cache), (
-            request for record, trace, _ in jobs
-            for request in plan_judge_requests(record, parse_trace(trace))))
-        results = [total_reward(record, trace, mode, bk).to_json_obj(record.id)
-                   for record, trace, mode in jobs]
+    results = _score_rows(args, rollouts)
     text = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in results)
     atomic_write_text(args.out, text)
     print(f"scored {len(results)} traces")
@@ -278,7 +273,8 @@ def _cmd_score_group(args) -> int:
     for row in rows:
         groups.setdefault(row["id"], []).append(row)
 
-    jobs = []
+    rollouts = []
+    label_hats = []  # (group size, pseudo-label) per group, in output order
     for cid in sorted(groups):
         record = claims[cid]
         group = groups[cid]
@@ -292,24 +288,20 @@ def _cmd_score_group(args) -> int:
             mode = Labeled(record.label)
         else:
             mode = Unlabeled(label_hat)
-        jobs.append((record, group, reports, mode, label_hat))
+        rollouts += [(record, report, mode) for report in reports]
+        label_hats.append((len(group), label_hat))
 
-    # Plan every rollout, fetch all judge replies in one dispatch, then score.
-    with DiskCache(args.cache_dir) as cache:
-        bk = fetch_judge_replies(_reward_backends(args, cache), (
-            request for record, _, reports, _, _ in jobs for report in reports
-            for request in plan_judge_requests(record, report)))
-        out_rows: list[dict] = []
-        for record, group, _, mode, label_hat in jobs:
-            scored = [total_reward(record, row["trace"], mode, bk).to_json_obj(record.id)
-                      for row in group]
-            advantages = group_advantages([r["total"] for r in scored])
-            for k, (row_out, adv) in enumerate(zip(scored, advantages)):
-                row_out["rollout"] = k
-                row_out["advantage"] = adv
-                if label_hat is not None:
-                    row_out["pseudo_label"] = label_hat.value
-                out_rows.append(row_out)
+    scored = iter(_score_rows(args, rollouts))
+    out_rows: list[dict] = []
+    for size, label_hat in label_hats:
+        group_rows = [next(scored) for _ in range(size)]
+        advantages = group_advantages([r["total"] for r in group_rows])
+        for k, (row_out, adv) in enumerate(zip(group_rows, advantages)):
+            row_out["rollout"] = k
+            row_out["advantage"] = adv
+            if label_hat is not None:
+                row_out["pseudo_label"] = label_hat.value
+            out_rows.append(row_out)
 
     text = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in out_rows)
     atomic_write_text(args.out, text)

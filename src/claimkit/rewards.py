@@ -6,15 +6,21 @@ the unlabeled path), and joint multiplicative quality. All seven sum at
 unit weight into one scalar per trace; an external trainer consumes the
 group-normalized advantages.
 
-The four judge-backed components score in three steps, plan -> dispatch ->
-score. `plan_judge_requests` lists every judge prompt one rollout needs; no
-judge reply feeds another prompt, so a whole file of rollouts can be planned
-before any call is sent. `fetch_judge_replies` hands a plan to one
-`judge_generate_many` call, which reads the cache once per distinct prompt,
-calls the judge once per distinct miss (concurrently over HTTP) and stores
-each reply, and returns backends that hold the replies. Scoring then reads
-every verdict from those replies and calls no judge. A component, or
-`total_reward`, given backends without replies plans and fetches its own.
+Scoring runs in three steps, plan -> dispatch -> score, so that a whole
+file of rollouts talks to its backends once. A `RewardPlan` lists what the
+rollouts need from outside: every judge prompt, rendered once and keyed by
+its template and slot values, and the questions of every rollout with two
+or more of them, which the diversity reward embeds. No judge reply feeds
+another prompt, so every rollout is planned before any call is sent.
+`fetch_plan` dispatches a plan: one `judge_generate_many` call, which reads
+the cache once per distinct prompt, calls the judge once per distinct miss
+(concurrently over HTTP) and stores each reply, and one `embed` call over
+the distinct questions, sent 64 texts per request. It returns backends that
+hold the replies and a unit vector per question. Scoring then reads every
+verdict and vector from those, and calls no judge or embedder and renders
+no prompt. `score_rollouts` runs the three steps over parsed rollouts.
+`total_reward`, or a component, given backends without fetched data plans
+and fetches its own.
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ from .backends import (
     parse_atomicity,
     parse_binary_answer,
     parse_verdict,
-    prompt_digest,
     render_prompt,
 )
 # Unused here, but perfbench/tracing.py wraps this module-level name.
@@ -145,39 +150,120 @@ def diversity_reward(
         raise ValueError("need at least one question")
     if n == 1:
         return 0.0
-    vectors = embed(list(questions), backend, cache)
+    return _diversity(embed(list(questions), backend, cache))
+
+
+def _diversity(vectors: np.ndarray) -> float:
+    """The diversity reward of n >= 2 questions, given their (n, d) unit rows."""
     penalty = 0.0
-    for i in range(1, n):
+    for i in range(1, len(vectors)):
         sims = vectors[:i] @ vectors[i]
         penalty += max(0.0, float(np.max(sims)))
-    return -penalty / n
+    return -penalty / len(vectors)
 
 
-# --- judge-backed components -----------------------------------------------
+# --- plan -> dispatch -------------------------------------------------------
 
-JudgeRequest = tuple[TemplateId, str]  # (template, rendered prompt)
+Ask = tuple[TemplateId, dict[str, str]]  # (template, slot values)
+
+
+def _coverage_slots(claim: str, answers: Sequence[str]) -> dict[str, str]:
+    return {"answers": "\n".join(f"{i + 1}. {a}" for i, a in enumerate(answers)),
+            "claim": claim}
+
+
+def _leave_one_out(answers: Sequence[str]) -> list[list[str]]:
+    return [[a for j, a in enumerate(answers) if j != i] for i in range(len(answers))]
+
+
+def _quality_asks(claim: str, document: str, question: str, answer: str) -> list[Ask]:
+    """Answerability and atomicity, plus correctness unless the answer abstains."""
+    asks = [(TemplateId.ANSWERABILITY, {"document": document, "question": question}),
+            (TemplateId.ATOMICITY_CHECKLIST, {"claim": claim, "question": question})]
+    if not is_abstention(answer):
+        asks.append((TemplateId.ANSWER_CORRECTNESS, {"document": document, "sentence": answer}))
+    return asks
+
+
+def _coverage_asks(claim: str, answers: Sequence[str]) -> list[Ask]:
+    return [(TemplateId.COVERAGE_VERDICT, _coverage_slots(claim, answers))]
+
+
+def _necessity_asks(claim: str, answers: Sequence[str]) -> list[Ask]:
+    """Coverage on the full answer set and on each non-empty leave-one-out subset."""
+    return _coverage_asks(claim, answers) + [
+        (TemplateId.COVERAGE_VERDICT, _coverage_slots(claim, rest))
+        for rest in _leave_one_out(answers) if rest
+    ]
+
+
+def _joint_asks(claim: str, document: str, qa_pairs: Sequence[tuple[str, str]]) -> list[Ask]:
+    return [ask for question, answer in qa_pairs
+            for ask in _quality_asks(claim, document, question, answer)]
+
+
+class RewardPlan:
+    """What a set of rollouts needs from the judge and the embedder, each item once.
+
+    `prompts` maps each ask's key, (template, *slot values), to its rendered
+    prompt; scoring looks replies up by that key and renders nothing.
+    `questions` holds the texts to embed, in first-seen order.
+    """
+
+    def __init__(self) -> None:
+        self.prompts: dict[tuple, str] = {}
+        self.questions: dict[str, None] = {}
+
+    def add_asks(self, asks: Iterable[Ask]) -> RewardPlan:
+        for template, slots in asks:
+            key = (template, *slots.values())
+            if key not in self.prompts:
+                self.prompts[key] = render_prompt(template, slots)
+        return self
+
+    def add_rollout(self, record: ClaimRecord, report: ParseReport) -> RewardPlan:
+        """Everything `total_reward` asks about one rollout, the same for both
+        supervision modes: per question answerability, atomicity and (unless
+        the answer abstains) correctness; coverage on the full answer set and
+        on each non-empty leave-one-out subset; and the questions, when there
+        are two or more (diversity embeds no lone question)."""
+        self.add_asks(_joint_asks(record.claim, record.evidence_text(),
+                                  list(zip(report.questions, report.answers))))
+        if report.answers:
+            self.add_asks(_necessity_asks(record.claim, report.answers))
+        if len(report.questions) > 1:
+            self.questions.update(dict.fromkeys(report.questions))
+        return self
 
 
 @dataclass
-class _WithReplies(RewardBackends):
-    """Backends plus the judge replies fetched for a plan, keyed as
-    `judge_generate_many` keys them."""
+class _Fetched(RewardBackends):
+    """Backends plus what `fetch_plan` fetched: each judge reply under its
+    ask key, and each question's unit vector."""
 
-    replies: dict[tuple[str, str], str] = field(default_factory=dict)
-
-
-def fetch_judge_replies(bk: RewardBackends, requests: Iterable[JudgeRequest]) -> RewardBackends:
-    """Fetch the replies to every request in one dispatch; the returned
-    backends score any rollout whose prompts are among the requests."""
-    replies = judge_generate_many(bk.judge, ((t.value, prompt) for t, prompt in requests),
-                                  bk.params, bk.cache)
-    return _WithReplies(bk.judge, bk.embedding, bk.cache, bk.params, replies)
+    replies: dict[tuple, str] = field(default_factory=dict)
+    vectors: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def _fetched(bk: RewardBackends, plan: Callable[..., list[JudgeRequest]], *args) -> _WithReplies:
-    """bk itself when it already holds fetched replies, else bk plus the replies to plan(*args)."""
-    return bk if isinstance(bk, _WithReplies) else fetch_judge_replies(bk, plan(*args))
+def fetch_plan(bk: RewardBackends, plan: RewardPlan) -> RewardBackends:
+    """Fetch a plan's judge replies and question vectors in one dispatch; the
+    returned backends score any rollout the plan covers with no further call."""
+    prompts = dict.fromkeys((key[0].value, prompt) for key, prompt in plan.prompts.items())
+    fetched = judge_generate_many(bk.judge, prompts, bk.params, bk.cache)
+    # One reply per distinct (template id, prompt), returned in request order.
+    reply_to = dict(zip(prompts, fetched.values(), strict=True))
+    replies = {key: reply_to[key[0].value, prompt] for key, prompt in plan.prompts.items()}
+    texts = list(plan.questions)
+    rows = embed(texts, bk.embedding, bk.cache) if texts else []
+    return _Fetched(bk.judge, bk.embedding, bk.cache, bk.params, replies, dict(zip(texts, rows)))
 
+
+def _fetched(bk: RewardBackends, asks: Callable[..., list[Ask]], *args) -> _Fetched:
+    """bk itself when it already holds fetched data, else bk plus the replies to asks(*args)."""
+    return bk if isinstance(bk, _Fetched) else fetch_plan(bk, RewardPlan().add_asks(asks(*args)))
+
+
+# --- judge-backed components -----------------------------------------------
 
 # template -> (reply parser, score on a parse error, flag for a parse error)
 _READERS = {
@@ -191,12 +277,12 @@ _READERS = {
 }
 
 
-def _ask(bk: _WithReplies, template: TemplateId, slots: dict[str, str],
+def _ask(bk: _Fetched, template: TemplateId, slots: dict[str, str],
          flags: list[str] | None = None):
-    """The parsed reply to one fetched prompt. A judge parse error gives the
+    """The parsed reply to one fetched ask. A judge parse error gives the
     template's fallback score and, when flags is given, appends its flag."""
     parse, fallback, flag = _READERS[template]
-    reply = bk.replies[(template.value, prompt_digest(render_prompt(template, slots)))]
+    reply = bk.replies[(template, *slots.values())]
     try:
         return parse(reply)
     except JudgeParseError:
@@ -205,60 +291,7 @@ def _ask(bk: _WithReplies, template: TemplateId, slots: dict[str, str],
         return fallback
 
 
-def _request(template: TemplateId, slots: dict[str, str]) -> JudgeRequest:
-    return template, render_prompt(template, slots)
-
-
-def _coverage_slots(claim: str, answers: Sequence[str]) -> dict[str, str]:
-    return {"answers": "\n".join(f"{i + 1}. {a}" for i, a in enumerate(answers)),
-            "claim": claim}
-
-
-def _leave_one_out(answers: Sequence[str]) -> list[list[str]]:
-    return [[a for j, a in enumerate(answers) if j != i] for i in range(len(answers))]
-
-
-def _quality_asks(claim: str, document: str, question: str,
-                  answer: str) -> list[tuple[TemplateId, dict[str, str]]]:
-    """Answerability and atomicity, plus correctness unless the answer abstains."""
-    asks = [(TemplateId.ANSWERABILITY, {"document": document, "question": question}),
-            (TemplateId.ATOMICITY_CHECKLIST, {"claim": claim, "question": question})]
-    if not is_abstention(answer):
-        asks.append((TemplateId.ANSWER_CORRECTNESS, {"document": document, "sentence": answer}))
-    return asks
-
-
-def _coverage_plan(claim: str, answers: Sequence[str]) -> list[JudgeRequest]:
-    return [_request(TemplateId.COVERAGE_VERDICT, _coverage_slots(claim, answers))]
-
-
-def _necessity_plan(claim: str, answers: Sequence[str]) -> list[JudgeRequest]:
-    """Coverage on the full answer set and on each non-empty leave-one-out subset."""
-    return _coverage_plan(claim, answers) + [
-        _request(TemplateId.COVERAGE_VERDICT, _coverage_slots(claim, rest))
-        for rest in _leave_one_out(answers) if rest
-    ]
-
-
-def _joint_plan(claim: str, document: str,
-                qa_pairs: Sequence[tuple[str, str]]) -> list[JudgeRequest]:
-    return [_request(template, slots) for question, answer in qa_pairs
-            for template, slots in _quality_asks(claim, document, question, answer)]
-
-
-def plan_judge_requests(record: ClaimRecord, report: ParseReport) -> list[JudgeRequest]:
-    """Every judge prompt `total_reward` asks about one rollout, in the order
-    it asks them: per question answerability, atomicity and (unless the
-    answer abstains) correctness; then coverage on the full answer set and on
-    each non-empty leave-one-out subset. The same for both supervision modes."""
-    requests = _joint_plan(record.claim, record.evidence_text(),
-                           list(zip(report.questions, report.answers)))
-    if report.answers:
-        requests += _necessity_plan(record.claim, report.answers)
-    return requests
-
-
-def _coverage_verdict(claim: str, answers: Sequence[str], bk: _WithReplies,
+def _coverage_verdict(claim: str, answers: Sequence[str], bk: _Fetched,
                       flags: list[str] | None = None) -> ThreeWayVerdict | None:
     """The coverage judge on (answers, claim); None on a judge parse error."""
     return _ask(bk, TemplateId.COVERAGE_VERDICT, _coverage_slots(claim, answers), flags)
@@ -278,7 +311,7 @@ def coverage_reward(
     """
     if not answers:
         raise ValueError("coverage needs at least one answer")
-    bk = _fetched(bk, _coverage_plan, claim, answers)
+    bk = _fetched(bk, _coverage_asks, claim, answers)
     verdict = _coverage_verdict(claim, answers, bk, flags)
     return int(verdict is ThreeWayVerdict.from_label(reference))
 
@@ -290,7 +323,7 @@ def _leave_one_out_verdicts(
 ) -> tuple[ThreeWayVerdict | None, list[ThreeWayVerdict | None]]:
     """Coverage verdicts on the full answer set and on the set without each
     answer in turn; None where dropping the only answer leaves nothing to judge."""
-    bk = _fetched(bk, _necessity_plan, claim, answers)
+    bk = _fetched(bk, _necessity_asks, claim, answers)
     full = _coverage_verdict(claim, answers, bk)
     return full, [_coverage_verdict(claim, rest, bk) if rest else None
                   for rest in _leave_one_out(answers)]
@@ -346,7 +379,7 @@ def joint_quality_reward(
     """
     if not qa_pairs:
         raise ValueError("joint quality needs at least one cycle")
-    bk = _fetched(bk, _joint_plan, claim, document, qa_pairs)
+    bk = _fetched(bk, _joint_asks, claim, document, qa_pairs)
     terms: list[float] = []
     for question, answer in qa_pairs:
         term = 1.0
@@ -358,6 +391,8 @@ def joint_quality_reward(
 
 # --- composition ------------------------------------------------------------
 
+Rollout = tuple[ClaimRecord, ParseReport, SupervisionMode]  # (record, parsed trace, mode)
+
 
 def total_reward(
     record: ClaimRecord,
@@ -367,22 +402,39 @@ def total_reward(
 ) -> RewardBreakdown:
     """Parse a trace and dispatch all seven components per supervision mode.
 
-    Judge verdicts come from bk's fetched replies when it holds them (see
-    `fetch_judge_replies`); otherwise the rollout's plan is fetched first.
+    Judge verdicts and question vectors come from bk's fetched data when it
+    holds them (see `fetch_plan`); otherwise the rollout's plan is fetched
+    first. Many rollouts score faster through `score_rollouts`.
 
     On the unlabeled path the verification reward is dropped (contributes 0),
     coverage scores against the group pseudo-label when one exists, and
     necessity falls back to the binary flip test.
     """
-    if record.silver_question_count is None:
-        raise ValueError(
-            f"record {record.id!r} has no silver_question_count; question-count reward needs it"
-        )
-    if isinstance(mode, Labeled) and mode.gold is None:
-        raise ValueError("labeled mode requires a gold label")
+    (breakdown,) = score_rollouts([(record, parse_trace(trace_text), mode)], bk)
+    return breakdown
 
-    report = parse_trace(trace_text)
-    bk = _fetched(bk, plan_judge_requests, record, report)
+
+def score_rollouts(rollouts: Sequence[Rollout], bk: RewardBackends) -> list[RewardBreakdown]:
+    """`total_reward` of each parsed rollout, in order. Every rollout is
+    checked and planned first, and the plan is fetched in one dispatch,
+    unless bk already holds fetched data."""
+    for record, _, mode in rollouts:
+        if record.silver_question_count is None:
+            raise ValueError(f"record {record.id!r} has no silver_question_count; "
+                             "question-count reward needs it")
+        if isinstance(mode, Labeled) and mode.gold is None:
+            raise ValueError("labeled mode requires a gold label")
+    if not isinstance(bk, _Fetched):
+        plan = RewardPlan()
+        for record, report, _ in rollouts:
+            plan.add_rollout(record, report)
+        bk = fetch_plan(bk, plan)
+    return [_score(record, report, mode, bk) for record, report, mode in rollouts]
+
+
+def _score(record: ClaimRecord, report: ParseReport, mode: SupervisionMode,
+           bk: _Fetched) -> RewardBreakdown:
+    """All seven components of one checked rollout, from fetched data alone."""
     flags: list[str] = []
 
     fmt = format_reward(report)
@@ -394,7 +446,7 @@ def total_reward(
 
     if n >= 1:
         qc = question_count_reward(n, record.silver_question_count)
-        div = diversity_reward(questions, bk.embedding, bk.cache)
+        div = _diversity(np.vstack([bk.vectors[q] for q in questions])) if n > 1 else 0.0
     else:
         qc = 0.0
         div = 0.0

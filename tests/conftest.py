@@ -273,6 +273,10 @@ class _CannedHandler(_QuietHandler):
         reply = self.server.queue.pop(0) if self.server.queue else self.server.reply
         self._send(*reply)
 
+    def do_GET(self):
+        self.server.gets += 1
+        self._send(501, b"{}")
+
 
 def _serve(server):
     server.url = f"http://127.0.0.1:{server.server_port}/"
@@ -290,13 +294,15 @@ def _serve(server):
 def loopback(monkeypatch):
     """One-thread HTTP server on 127.0.0.1 that answers each POST with the
     next (status, body bytes[, headers]) in `server.queue`, then with
-    `server.reply`, counts requests in `server.requests` and keeps the last
-    request's Content-Type in `server.content_type`."""
+    `server.reply`, counts POSTs in `server.requests` and keeps the last
+    one's Content-Type in `server.content_type`. It answers a GET with 501
+    and counts it in `server.gets`."""
     monkeypatch.setenv("NO_PROXY", "127.0.0.1")
     server = HTTPServer(("127.0.0.1", 0), _CannedHandler)
     server.reply = (200, b"{}")
     server.queue = []
     server.requests = 0
+    server.gets = 0
     yield from _serve(server)
 
 

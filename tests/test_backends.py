@@ -6,6 +6,7 @@ import os
 import re
 import socket
 import sqlite3
+import ssl
 import subprocess
 import sys
 import threading
@@ -591,13 +592,37 @@ class TestHttpFaults:
             self._call(kind, loopback)
         assert loopback.requests == 1
 
-    @pytest.mark.parametrize("status", [307, 308, 201])
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308, 201])
     def test_redirect_or_other_2xx_is_protocol_error_at_once(self, kind, loopback, status):
-        # a 307 or 308 is not followed, so the body is never re-posted elsewhere
+        # No redirect is followed: a 307 or 308 would re-post the body
+        # elsewhere, and a 301, 302 or 303 would turn the POST into a GET.
         loopback.reply = (status, b"{}", {"Location": loopback.url})
-        with pytest.raises(ProtocolError, match=str(status)):
+        with pytest.raises(ProtocolError, match=str(status)) as info:
             self._call(kind, loopback)
-        assert loopback.requests == 1
+        assert (loopback.requests, loopback.gets) == (1, 0)
+        assert (loopback.url in str(info.value)) == (status // 100 == 3)
+
+    def test_one_tls_context_per_https_opener(self, kind, loopback, monkeypatch):
+        """An https: endpoint loads the CA store once across every attempt
+        (here a failed handshake with a plain-HTTP server); http: never does."""
+        loads = []
+        load_default_certs = ssl.SSLContext.load_default_certs
+
+        def counting(context, *args, **kwargs):
+            loads.append(context)
+            return load_default_certs(context, *args, **kwargs)
+
+        monkeypatch.setattr(ssl.SSLContext, "load_default_certs", counting)
+        monkeypatch.setattr(transport.time, "sleep", lambda s: None)
+        monkeypatch.setattr(transport, "TIMEOUT_S", 0.5)  # the server may wait for a line
+        cls, call, field, value = HTTP_BACKENDS[kind]
+        with pytest.raises(TransportError):
+            call(cls(loopback.url.replace("http:", "https:")))
+        assert (len(loads), loopback.requests) == (1, 0)
+        loads.clear()
+        loopback.reply = (200, json.dumps({field: value}).encode())
+        assert self._call(kind, loopback) == value
+        assert loads == []
 
     def _gives_up(self, kind, url, monkeypatch):
         sleeps = []

@@ -1,6 +1,7 @@
 """CLI dispatch: subcommands, exit codes, dry runs, determinism."""
 
 import json
+import math
 import os
 import sqlite3
 import subprocess
@@ -8,15 +9,29 @@ import sys
 from contextlib import closing
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import CACHE_FAULTS, break_cache
+from test_acceptance import _random_trace
+from test_rewards import GarblingJudge, _ref_total_reward
 
-from claimkit.backends import DiskCache
+from claimkit import cli, rewards
+from claimkit.backends import DiskCache, MemoryCache
 from claimkit.backends.embeddings import EMBED_CHUNK
 from claimkit.cli import dispatch
 from claimkit.corpus import ClaimRecord, HeuristicEntityCounter, Label, ingest_claims, write_claims
 from claimkit.funnel import FunnelConfig, FunnelReport, RuleThresholds, rule_filter
+from claimkit.mock import HashEmbeddingBackend, HashJudgeBackend
+from claimkit.rewards import (
+    Labeled,
+    RewardBackends,
+    Unlabeled,
+    group_advantages,
+    pseudo_label,
+    total_reward,
+)
 from claimkit.synthetic import funnel_corpus, holdout_corpus
+from claimkit.trace import parse_trace
 
 VALID_TRACE = (
     "<think>plan</think>\n"
@@ -264,6 +279,135 @@ class TestScoring:
         bad.write_text(json.dumps({"id": "ghost", "trace": "x"}) + "\n")
         assert dispatch(["score", "--traces", str(bad), "--claims", str(claims),
                          "--out", str(tmp_path / "o.jsonl")]) == 2
+
+
+class TestPlannedScoring:
+    """`score` and `score-group` plan a whole file, fetch it in one dispatch
+    and score every rollout from the fetched data. Each output row must read
+    as `total_reward` of its rollout alone, and the cache must hold what
+    scoring the rollouts one at a time stores."""
+
+    GROUPS, GROUP_SIZE = 12, 5
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        rng = np.random.default_rng(23)
+        records = [ClaimRecord(id=f"c{i:02d}", claim=f"Alice moved to Paris in {1900 + i}.",
+                               evidence=[f"Alice moved to Paris in {1900 + i}.", "She stayed."],
+                               source="plan", label=(Label.SUPPORTED, Label.REFUTED)[i % 2],
+                               silver_question_count=1 + i % 3)
+                   for i in range(self.GROUPS)]
+        # the last rollout of each group asks one question that no other asks
+        rows = [{"id": r.id, "trace": _random_trace(rng) if k else (
+                    f"<think>t</think><question>Is {r.id} alone?</question>"
+                    "<answer>Yes.</answer><verification>Supported</verification>")}
+                for r in records for k in range(self.GROUP_SIZE, -1, -1)]
+        tmp = tmp_path_factory.mktemp("planned")
+        write_claims(records, tmp / "claims.jsonl")
+        _write_lines(tmp / "traces.jsonl", [json.dumps(row) for row in rows])
+        return tmp, {r.id: r for r in records}, rows
+
+    @staticmethod
+    def _argv(command, mode, tmp, out, cache):
+        return [command, "--traces", str(tmp / "traces.jsonl"), "--claims",
+                str(tmp / "claims.jsonl"), "--mode", mode, "--out", str(out),
+                "--cache-dir", str(cache)]
+
+    @staticmethod
+    def _expected(command, mode, records, rows, judge_cls):
+        """Output lines of scoring each rollout alone with `total_reward`, and
+        the cache records that the serial reference, which shares no planning
+        code with it, stores for the rollouts."""
+        stored = {}
+
+        def alone(record, trace, rollout_mode):
+            bk = RewardBackends(judge_cls(), HashEmbeddingBackend(), MemoryCache())
+            ref_bk = RewardBackends(judge_cls(), HashEmbeddingBackend(), MemoryCache())
+            _ref_total_reward(record, trace, rollout_mode, ref_bk)
+            stored.update(ref_bk.cache._store)
+            return total_reward(record, trace, rollout_mode, bk).to_json_obj(record.id)
+
+        if command == "score":
+            objs = [alone(records[row["id"]], row["trace"],
+                          Labeled(records[row["id"]].label) if mode == "labeled"
+                          else Unlabeled(None)) for row in rows]
+        else:
+            objs = []
+            for cid in sorted({row["id"] for row in rows}):
+                traces = [row["trace"] for row in rows if row["id"] == cid]
+                label_hat = pseudo_label([parse_trace(t).verdict for t in traces])
+                group_mode = (Labeled(records[cid].label) if mode == "labeled"
+                              else Unlabeled(label_hat))
+                group = [alone(records[cid], t, group_mode) for t in traces]
+                for k, (obj, adv) in enumerate(zip(group, group_advantages(
+                        [obj["total"] for obj in group]))):
+                    obj.update(rollout=k, advantage=adv)
+                    if label_hat is not None:
+                        obj["pseudo_label"] = label_hat.value
+                objs += group
+        return [json.dumps(obj, ensure_ascii=False) for obj in objs], stored
+
+    @pytest.mark.parametrize("judge_cls", [HashJudgeBackend, GarblingJudge])
+    @pytest.mark.parametrize("command", ["score", "score-group"])
+    @pytest.mark.parametrize("mode", ["labeled", "unlabeled"])
+    def test_rows_and_cache_match_rollouts_scored_alone(self, inputs, tmp_path, monkeypatch,
+                                                        command, mode, judge_cls):
+        tmp, records, rows = inputs
+        monkeypatch.setattr(cli, "build_judge_backend", lambda spec: judge_cls())
+        out, cache = tmp_path / "out.jsonl", tmp_path / "cache"
+        assert dispatch(self._argv(command, mode, tmp, out, cache)) == 0
+        lines, stored = self._expected(command, mode, records, rows, judge_cls)
+        assert out.read_text(encoding="utf-8").splitlines() == lines
+        with closing(sqlite3.connect(cache / DiskCache.FILE_NAME)) as db:
+            written = {key: json.loads(blob)
+                       for key, blob in db.execute("SELECT key, blob FROM responses")}
+        assert written == stored
+
+    def test_inputs_reach_every_mode_and_a_lone_question(self, inputs):
+        # the differential test above covers all five supervision modes,
+        # single-question rollouts, and unparseable judge replies
+        _, records, rows = inputs
+        reports = {cid: [parse_trace(r["trace"]) for r in rows if r["id"] == cid]
+                   for cid in records}
+        assert {len(report.questions) for group in reports.values() for report in group} \
+            >= {0, 1, 2}
+        asked = [report.questions for group in reports.values() for report in group]
+        assert {q for qs in asked if len(qs) == 1 for q in qs} - {
+            q for qs in asked if len(qs) > 1 for q in qs}
+        assert {records[cid].label for cid in records} == set(Label)
+        assert {pseudo_label([r.verdict for r in group]) for group in reports.values()} \
+            == {Label.SUPPORTED, Label.REFUTED, None}
+        garbled = [f for line in self._expected("score", "labeled", records, rows,
+                                                GarblingJudge)[0]
+                   for f in json.loads(line)["flags"] if f.endswith("judge-parse-error")]
+        assert garbled
+
+    def test_one_embed_dispatch_and_one_parse_per_rollout(self, inputs, tmp_path, monkeypatch):
+        tmp, _, rows = inputs
+        calls = {"embed": 0, "embed_texts": 0, "parse_trace": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(rewards, "embed", counting("embed", rewards.embed))
+        monkeypatch.setattr(HashEmbeddingBackend, "embed_texts",
+                            counting("embed_texts", HashEmbeddingBackend.embed_texts))
+        monkeypatch.setattr(cli, "parse_trace", counting("parse_trace", parse_trace))
+        monkeypatch.setattr(rewards, "parse_trace", counting("parse_trace", parse_trace))
+        reports = [parse_trace(row["trace"]) for row in rows]
+        multi = {q for report in reports if len(report.questions) > 1 for q in report.questions}
+        want_cold = math.ceil(len(multi) / EMBED_CHUNK)
+        assert want_cold > 1
+        for command, cache, want_embeds in (("score-group", "c1", want_cold),
+                                            ("score-group", "c1", 0),
+                                            ("score", "c2", want_cold)):
+            calls.update(embed=0, embed_texts=0, parse_trace=0)
+            assert dispatch(self._argv(command, "unlabeled", tmp, tmp_path / "out.jsonl",
+                                       tmp_path / cache)) == 0
+            assert calls == {"embed": 1, "embed_texts": want_embeds, "parse_trace": len(rows)}
 
 
 class TestFunnelHttpBackends:

@@ -9,6 +9,7 @@ from conftest import PlantedEmbedding, ScriptedJudge, trace_texts
 from hypothesis import given, settings
 from test_acceptance import _random_trace
 
+from claimkit import rewards
 from claimkit.backends import (
     DecodingParams,
     JudgeParseError,
@@ -22,23 +23,24 @@ from claimkit.backends import (
     prompt_digest,
     render_prompt,
 )
+from claimkit.backends.embeddings import EMBED_CHUNK
 from claimkit.corpus import ClaimRecord, Label
 from claimkit.mock import HashEmbeddingBackend, HashJudgeBackend
 from claimkit.rewards import (
     Labeled,
     RewardBackends,
     RewardBreakdown,
+    RewardPlan,
     Unlabeled,
     coverage_reward,
     diversity_reward,
-    fetch_judge_replies,
+    fetch_plan,
     format_reward,
     group_advantages,
     joint_quality_reward,
     necessity_reward,
     necessity_reward_relative,
     partition_supervision,
-    plan_judge_requests,
     pseudo_label,
     question_count_reward,
     total_reward,
@@ -454,6 +456,16 @@ class CountingJudge(HashJudgeBackend):
         return super().generate(prompt, params)
 
 
+class CountingEmbedding(HashEmbeddingBackend):
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def embed_texts(self, texts):
+        self.calls += 1
+        return super().embed_texts(texts)
+
+
 MODES = [Labeled(Label.SUPPORTED), Labeled(Label.REFUTED), Unlabeled(Label.SUPPORTED),
          Unlabeled(Label.REFUTED), Unlabeled(None)]
 RECORD = ClaimRecord(id="diff", claim="Alice moved to Paris in 1921.",
@@ -477,25 +489,32 @@ class TestPlanDispatchScore:
                 flagged += any(f.endswith("judge-parse-error") for f in new["flags"])
         assert flagged > 0 if judge_cls is GarblingJudge else flagged == 0
 
-    def test_scoring_after_dispatch_calls_no_judge(self):
+    def test_scoring_after_dispatch_calls_no_judge(self, monkeypatch):
         rng = np.random.default_rng(7)
         traces = [_random_trace(rng) for _ in range(60)]
-        judge = CountingJudge()
-        bk = fetch_judge_replies(
-            RewardBackends(judge, HashEmbeddingBackend(), MemoryCache()),
-            (req for t in traces for req in plan_judge_requests(RECORD, parse_trace(t))))
-        fetched = judge.calls
-        assert fetched > 0
+        judge, embedding = CountingJudge(), CountingEmbedding()
+        plan = RewardPlan()
+        for trace in traces:
+            plan.add_rollout(RECORD, parse_trace(trace))
+        bk = fetch_plan(RewardBackends(judge, embedding, MemoryCache()), plan)
+        fetched = (judge.calls, embedding.calls)
+        assert judge.calls > 0
+        assert embedding.calls == math.ceil(len(plan.questions) / EMBED_CHUNK) > 1
+        renders = []
+        monkeypatch.setattr(rewards, "render_prompt", lambda *args: renders.append(args))
         for trace in traces:
             for mode in MODES:
                 total_reward(RECORD, trace, mode, bk)
-        assert judge.calls == fetched
+        assert (judge.calls, embedding.calls, renders) == (*fetched, [])
 
     @settings(max_examples=200, deadline=None)
     @given(trace_texts)
     def test_plan_is_total(self, text):
-        for template, prompt in plan_judge_requests(RECORD, parse_trace(text)):
+        plan = RewardPlan().add_rollout(RECORD, parse_trace(text))
+        for (template, *slot_values), prompt in plan.prompts.items():
             assert isinstance(template, TemplateId) and isinstance(prompt, str)
+            assert all(isinstance(value, str) for value in slot_values)
+        assert all(isinstance(question, str) for question in plan.questions)
 
 
 class TestPseudoLabel:
