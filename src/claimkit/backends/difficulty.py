@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Protocol, Sequence
 
 from ..corpus import ClaimRecord, Label
-from .cache import Cache, MemoryCache, cache_key
+from .cache import Cache, cache_key
 from .transport import FixtureBackend, HttpBackend, fetch_cached
 
 
@@ -31,20 +31,16 @@ class FixtureVerifierBackend(FixtureBackend):
         return float(self._lookup(claim))
 
 
-def difficulty_score(
-    record: ClaimRecord,
-    verifier: VerifierBackend,
-    cache: Cache | None = None,
-) -> float:
+def difficulty_score(record: ClaimRecord, verifier: VerifierBackend, cache: Cache) -> float:
     """The one-record case of `difficulty_scores`."""
     return difficulty_scores([record], verifier, cache)[0]
 
 
 def difficulty_scores(records: Sequence[ClaimRecord], verifier: VerifierBackend,
-                      cache: Cache | None = None) -> list[float]:
-    """Label-aligned confidence per record: the verifier's probability on the
-    gold label. Every record is checked before one `fetch_cached` call, which
-    asks about each distinct (claim, evidence) once; cache=None caches in memory."""
+                      cache: Cache) -> list[float]:
+    """Label-aligned confidence for each record, in order: the verifier's
+    probability on the gold label. Every record is checked before one
+    `fetch_cached` call, which asks about each distinct (claim, evidence) once."""
     keys = []
     for record in records:
         if record.label is None:
@@ -52,13 +48,13 @@ def difficulty_scores(records: Sequence[ClaimRecord], verifier: VerifierBackend,
         keys.append(cache_key("difficulty", record.claim + "\x00" + record.evidence_text(),
                               verifier.backend_id))
     stored = fetch_cached(
-        verifier, MemoryCache() if cache is None else cache, zip(keys, records),
+        verifier, cache, zip(keys, records),
         lambda batch: [{"p_supported": verifier.probability_supported(r.claim, r.evidence)}
                        for r in batch],
     )
     scores = []
-    for record, key in zip(records, keys):
-        p_supported = stored[key]["p_supported"]
+    for record, row in zip(records, stored):
+        p_supported = row["p_supported"]
         if not 0.0 <= p_supported <= 1.0:
             raise ValueError(f"verifier probability out of range: {p_supported}")
         scores.append(p_supported if record.label is Label.SUPPORTED else 1.0 - p_supported)

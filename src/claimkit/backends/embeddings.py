@@ -59,7 +59,7 @@ def embed(texts: list[str], backend: EmbeddingBackend, cache: Cache) -> np.ndarr
                        for vec in backend.embed_texts(batch)],
         chunk=EMBED_CHUNK,
     )
-    rows = [_normalize(stored[key]["vector"]) for key in keys]
+    rows = [_normalize(row["vector"]) for row in stored]
     dims = {row.shape[0] for row in rows}
     if len(dims) > 1:
         raise ValueError(f"dimension mismatch within batch: {sorted(dims)}")

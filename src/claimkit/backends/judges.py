@@ -2,7 +2,8 @@
 
 Wire protocol is a single-turn POST with JSON body
 {prompt, temperature, seed, max_tokens} and JSON reply {text}. Adapters can
-map that onto any model server.
+map that onto any model server. Cached calls return one reply per
+(template id, prompt) request, in request order.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import asdict
 from typing import Iterable, Protocol
 
 from .cache import Cache, DecodingParams, cache_key, prompt_digest
-from .transport import FixtureBackend, HttpBackend, fetch_cached
+from .transport import FixtureBackend, HttpBackend, ProtocolError, fetch_cached
 
 
 class JudgeParseError(ValueError):
@@ -56,8 +57,7 @@ def judge_generate(
     template_id: str = "judge",
 ) -> str:
     """Cached single-turn generation: the one-prompt case of `judge_generate_many`."""
-    (reply,) = judge_generate_many(backend, [(template_id, prompt)], params, cache).values()
-    return reply
+    return judge_generate_many(backend, [(template_id, prompt)], params, cache)[0]
 
 
 def judge_generate_many(
@@ -65,27 +65,28 @@ def judge_generate_many(
     requests: Iterable[tuple[str, str]],
     params: DecodingParams,
     cache: Cache,
-) -> dict[tuple[str, str], str]:
-    """Cached generation for many (template id, prompt) requests.
+) -> list[str]:
+    """Cached generation: the reply to each (template id, prompt) request, in
+    request order, duplicates included.
 
-    Returns {(template id, prompt_digest(prompt)): reply}. Each distinct
-    request is fetched once through `fetch_cached`, one prompt per call.
+    Each distinct request is fetched once through `fetch_cached`, one prompt
+    per call. A reply that is not a string raises ProtocolError and is not
+    stored.
     """
-    plan: dict[tuple[str, str], tuple] = {}  # reply key -> (cache key, (reply key, prompt))
-    for template_id, prompt in requests:
-        reply_key = (template_id, prompt_digest(prompt))
-        if reply_key not in plan:
-            key = cache_key(template_id, prompt, backend.backend_id, params)
-            plan[reply_key] = (key, (reply_key, prompt))
-
-    def call(batch: list[tuple[tuple[str, str], str]]) -> list[dict]:
+    def call(batch: list[tuple[str, str]]) -> list[dict]:
+        ((template_id, prompt),) = batch
+        response = backend.generate(prompt, params)
+        if not isinstance(response, str):
+            raise ProtocolError(f"judge reply is a {type(response).__name__}, not a string")
         return [{
             "template_id": template_id,
             "backend_id": backend.backend_id,
-            "prompt_digest": digest,
+            "prompt_digest": prompt_digest(prompt),
             "params": asdict(params),
-            "response": backend.generate(prompt, params),
-        } for (template_id, digest), prompt in batch]
+            "response": response,
+        }]
 
-    records = fetch_cached(backend, cache, plan.values(), call)
-    return {reply_key: records[key]["response"] for reply_key, (key, _) in plan.items()}
+    records = fetch_cached(backend, cache, (
+        (cache_key(template_id, prompt, backend.backend_id, params), (template_id, prompt))
+        for template_id, prompt in requests), call)
+    return [record["response"] for record in records]

@@ -4,8 +4,9 @@ Judge, embedding and verifier backends differ only in the JSON body they
 send and the reply field they read, so each is a one-method subclass of
 `HttpBackend` or `FixtureBackend`. Backend ids are `http:<endpoint>` and
 `fixture:<file name>`; cache keys include them, so they must not change.
-All three reach the cache through one function, `fetch_cached`. HTTP calls
-use the standard library's `urllib.request`, imported on the first call.
+All three reach the cache through one function, `fetch_cached`, which
+returns one stored record per request, in request order. HTTP calls use the
+standard library's `urllib.request`, imported on the first call.
 """
 
 from __future__ import annotations
@@ -157,8 +158,9 @@ class FixtureBackend:
 
 
 def fetch_cached(backend: object, cache: Cache, requests: Iterable[tuple[str, Any]],
-                 call: Callable[[list], list[dict]], chunk: int = 1) -> dict[str, dict]:
-    """{cache key: stored record} for many (cache key, request) pairs.
+                 call: Callable[[list], list[dict]], chunk: int = 1) -> list[dict]:
+    """The stored record for each (cache key, request) pair, in the order
+    given, duplicates included.
 
     The distinct keys are read from the cache with one `get_many`. The misses
     go to `call` in request order, `chunk` at a time; it returns one record
@@ -169,8 +171,9 @@ def fetch_cached(backend: object, cache: Cache, requests: Iterable[tuple[str, An
     starts, the calls in flight finish, every finished call's records are
     stored, and the earliest failure in request order is raised.
     """
+    pairs = list(requests)
     wanted: dict[str, Any] = {}  # cache key -> request, in first-seen order
-    for key, request in requests:
+    for key, request in pairs:
         wanted.setdefault(key, request)
     records = cache.get_many(wanted)
     keys = [key for key in wanted if key not in records]
@@ -200,4 +203,4 @@ def fetch_cached(backend: object, cache: Cache, requests: Iterable[tuple[str, An
     else:
         for batch in batches:
             records.update(cache.put_many(fetch(batch).items()))
-    return records
+    return [records[key] for key, _ in pairs]

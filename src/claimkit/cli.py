@@ -15,12 +15,11 @@ import sys
 from pathlib import Path
 
 from .backends import DecodingParams, DiskCache, TransportError, ProtocolError
-from .corpus import ClaimRecord, IngestError, Label, ingest_claims
+from .corpus import ClaimRecord, IngestError, Label, atomic_write_text, ingest_claims, write_claims
 from .funnel import (
     FunnelConfig,
     FunnelReport,
     StageError,
-    atomic_write_text,
     decontaminate,
     dedup_minhash,
     dedup_semantic,
@@ -36,6 +35,7 @@ from .metrics import balanced_accuracy, stage_report_render
 from .rewards import (
     Labeled,
     RewardBackends,
+    SupervisionMode,
     Unlabeled,
     group_advantages,
     pseudo_label,
@@ -148,11 +148,6 @@ def _load_rows(path: str, fields: tuple[str, str]) -> list[dict]:
     return rows
 
 
-def _write_claims_atomic(records, path) -> None:
-    text = "".join(json.dumps(r.to_json_obj(), ensure_ascii=False) + "\n" for r in records)
-    atomic_write_text(path, text)
-
-
 def _cmd_funnel_run(args) -> int:
     config = FunnelConfig.from_json_file(args.config)
     if args.seed is not None:
@@ -165,7 +160,7 @@ def _cmd_funnel_run(args) -> int:
         print("dry-run ok: config and inputs validated")
         return 0
     records, report = run_funnel(config)
-    _write_claims_atomic(records, args.out)
+    write_claims(records, args.out)
     atomic_write_text(args.report,
                       json.dumps(report.to_json_obj(), indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(records)} records to {args.out}")
@@ -188,7 +183,7 @@ def _cmd_dedup(args) -> int:
     backend = build_embedding_backend(args.embedding)
     with DiskCache(args.cache_dir) as cache:
         kept, _ = dedup_semantic(kept, backend, cache)
-    _write_claims_atomic(kept, args.out)
+    write_claims(kept, args.out)
     print(f"kept {len(kept)} of {len(records)} records")
     return 0
 
@@ -202,7 +197,7 @@ def _cmd_decontaminate(args) -> int:
     backend = build_embedding_backend(args.embedding)
     with DiskCache(args.cache_dir) as cache:
         kept, _ = decontaminate(records, holdout, backend, cache)
-    _write_claims_atomic(kept, args.out)
+    write_claims(kept, args.out)
     print(f"kept {len(kept)} of {len(records)} records")
     return 0
 
@@ -216,7 +211,7 @@ def _cmd_select(args) -> int:
     with DiskCache(args.cache_dir) as cache:
         selected = select_stratified(records, args.budget, args.strategy, args.seed,
                                      backend, cache)
-    _write_claims_atomic(selected, args.out)
+    write_claims(selected, args.out)
     print(f"selected {len(selected)} of {len(records)} records")
     return 0
 
@@ -241,6 +236,16 @@ def _load_trace_rows(args) -> tuple[list[dict], dict[str, ClaimRecord]]:
     return rows, claims
 
 
+def _supervision(args, record: ClaimRecord, label_hat: Label | None = None) -> SupervisionMode:
+    """A rollout's supervision mode under --mode: Labeled needs the claim's
+    gold label; Unlabeled carries the group's pseudo-label, if any."""
+    if args.mode == "unlabeled":
+        return Unlabeled(label_hat)
+    if record.label is None:
+        raise UsageError(f"claim {record.id!r} has no gold label")
+    return Labeled(record.label)
+
+
 def _cmd_score(args) -> int:
     rows, claims = _load_trace_rows(args)
     if args.dry_run:
@@ -249,12 +254,7 @@ def _cmd_score(args) -> int:
     rollouts = []
     for row in rows:
         record = claims[row["id"]]
-        if args.mode == "labeled":
-            if record.label is None:
-                raise UsageError(f"claim {record.id!r} has no gold label")
-            mode = Labeled(record.label)
-        else:
-            mode = Unlabeled(None)
+        mode = _supervision(args, record)
         rollouts.append((record, parse_trace(row["trace"]), mode))
 
     results = _score_rows(args, rollouts)
@@ -282,12 +282,7 @@ def _cmd_score_group(args) -> int:
             raise UsageError(f"group {cid!r} has fewer than 2 rollouts")
         reports = [parse_trace(row["trace"]) for row in group]
         label_hat = pseudo_label([report.verdict for report in reports])
-        if args.mode == "labeled":
-            if record.label is None:
-                raise UsageError(f"claim {cid!r} has no gold label")
-            mode = Labeled(record.label)
-        else:
-            mode = Unlabeled(label_hat)
+        mode = _supervision(args, record, label_hat)
         rollouts += [(record, report, mode) for report in reports]
         label_hats.append((len(group), label_hat))
 

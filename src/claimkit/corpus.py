@@ -16,6 +16,7 @@ running Python, so tests/test_corpus.py checks it over every code point.
 from __future__ import annotations
 
 import json
+import os
 import unicodedata
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -142,7 +143,8 @@ def ingest_claims(
                     raise IngestError(path, line_no, f"unknown label string {raw_label!r}")
                 label = mapped
             silver = obj.get("silver_question_count")
-            if silver is not None and (not isinstance(silver, int) or silver < 1):
+            if silver is not None and (isinstance(silver, bool) or not isinstance(silver, int)
+                                       or silver < 1):
                 raise IngestError(path, line_no, "silver_question_count must be a positive integer")
             meta = obj.get("meta")
             if meta is not None and not isinstance(meta, dict):
@@ -161,11 +163,27 @@ def ingest_claims(
     return records
 
 
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write via temp file + rename so readers never see partial output. The
+    file gets the mode `open(path, "w")` would give it: 0o666 less the umask."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_claims(records: Iterable[ClaimRecord], path: str | Path) -> None:
-    """Write records back to the claims JSONL schema (one object per line)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec.to_json_obj(), ensure_ascii=False) + "\n")
+    """Write records back to the claims JSONL schema (one object per line), atomically."""
+    atomic_write_text(path, "".join(json.dumps(rec.to_json_obj(), ensure_ascii=False) + "\n"
+                                    for rec in records))
 
 
 # --- tokenization --------------------------------------------------------

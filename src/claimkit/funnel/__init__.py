@@ -1,5 +1,6 @@
 """Multi-stage claim-curation funnel: filters, dedup, selection, augmentation."""
 
+from ..corpus import atomic_write_text
 from .budget import SelectionBudget, allocate_budgets
 from .dedup import (
     DECONTAM_COSINE_THRESHOLD,
@@ -13,7 +14,6 @@ from .run import (
     FunnelConfig,
     FunnelReport,
     StageReport,
-    atomic_write_text,
     run_funnel,
     select_stratified,
     stage_seed,

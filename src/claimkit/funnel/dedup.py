@@ -75,10 +75,9 @@ def dedup_semantic(
     records: Sequence[ClaimRecord],
     backend: EmbeddingBackend,
     cache: Cache,
-    threshold: float = SEMANTIC_THRESHOLD,
 ) -> tuple[list[ClaimRecord], list[tuple[ClaimRecord, str]]]:
     """Greedy single pass: drop a record iff its claim embedding has cosine
-    >= threshold with any earlier kept record."""
+    >= SEMANTIC_THRESHOLD with any earlier kept record."""
     if not records:
         return [], []
     vectors = embed([rec.claim for rec in records], backend, cache)
@@ -90,7 +89,7 @@ def dedup_semantic(
         if kept:
             sims = kept_vecs[:len(kept)] @ vectors[i]
             hit = int(np.argmax(sims))
-            if float(sims[hit]) >= threshold:
+            if float(sims[hit]) >= SEMANTIC_THRESHOLD:
                 removed.append((rec, f"semantic-duplicate-of:{kept[hit].id}"))
                 continue
         kept_vecs[len(kept)] = vectors[i]

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
@@ -29,7 +27,6 @@ from .budget import allocate_budgets
 from .dedup import decontaminate, dedup_minhash, dedup_semantic
 from .select import alt_select, lazy_greedy
 from .stages import (
-    LONG_EVIDENCE_TOKENS,
     RuleThresholds,
     StageError,
     difficulty_filter,
@@ -170,21 +167,6 @@ def stage_seed(seed: int, stage: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via temp file + rename so readers never see partial output."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _load_inputs(paths: Sequence[str], what: str) -> list[ClaimRecord]:
     records: list[ClaimRecord] = []
     seen: set[str] = set()
@@ -287,7 +269,7 @@ def run_funnel(config: FunnelConfig) -> tuple[list[ClaimRecord], FunnelReport]:
             previous, pool = pool, kept
 
     # Augmentation draws from the pool as it was before selection.
-    final = long_evidence_augment(previous, pool, LONG_EVIDENCE_TOKENS)
+    final = long_evidence_augment(previous, pool)
     report.add("augment", len(pool), len(final))
     report.validate_chain()
     return final, report

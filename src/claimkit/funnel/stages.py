@@ -16,7 +16,6 @@ from ..backends import (
     difficulty_scores,
     judge_generate_many,
     parse_question_list,
-    prompt_digest,
     render_prompt,
 )
 # Unused here, but perfbench/tracing.py wraps these module-level names.
@@ -98,12 +97,11 @@ def rule_filter(
 def difficulty_filter(
     records: Sequence[ClaimRecord],
     verifier: VerifierBackend,
-    cache: Cache | None = None,
-    band: tuple[float, float] = DIFFICULTY_BAND,
+    cache: Cache,
 ) -> tuple[list[ClaimRecord], list[tuple[ClaimRecord, str]]]:
-    """Keep records whose label-aligned verifier confidence lies in the band
-    (inclusive): hard enough to teach, easy enough to learn from."""
-    lo, hi = band
+    """Keep records whose label-aligned verifier confidence lies in
+    DIFFICULTY_BAND (inclusive): hard enough to teach, easy enough to learn from."""
+    lo, hi = DIFFICULTY_BAND
     scores = difficulty_scores(records, verifier, cache)
     return _partition((rec, None if lo <= p <= hi else "difficulty-out-of-band")
                       for rec, p in zip(records, scores))
@@ -118,7 +116,7 @@ def silver_stage(
     records: Sequence[ClaimRecord],
     judge: JudgeBackend,
     cache: Cache,
-    params: DecodingParams | None = None,
+    params: DecodingParams,
 ) -> tuple[list[ClaimRecord], list[tuple[ClaimRecord, str]]]:
     """Ask the generation backend for each record's minimal question
     decomposition, all prompts in one `judge_generate_many`, and store its
@@ -126,29 +124,27 @@ def silver_stage(
     that gets fewer than two questions, is rejected."""
     template = TemplateId.SILVER_DECOMPOSE.value
 
-    def outcome(rec: ClaimRecord, prompt: str) -> tuple[ClaimRecord, str | None]:
+    def outcome(rec: ClaimRecord, reply: str) -> tuple[ClaimRecord, str | None]:
         try:
-            n = len(parse_question_list(replies[(template, prompt_digest(prompt))]))
+            n = len(parse_question_list(reply))
         except JudgeParseError:
             return rec, "silver-unparsable"
         return (rec.with_silver_count(n), None) if n >= 2 else (rec, "too-few-silver-questions")
 
-    prompts = [_silver_prompt(rec) for rec in records]
-    replies = judge_generate_many(judge, [(template, p) for p in prompts],
-                                  params or DecodingParams(), cache)
-    return _partition([outcome(rec, p) for rec, p in zip(records, prompts)])
+    replies = judge_generate_many(judge, [(template, _silver_prompt(rec)) for rec in records],
+                                  params, cache)
+    return _partition([outcome(rec, reply) for rec, reply in zip(records, replies)])
 
 
 def long_evidence_augment(
     pool: Sequence[ClaimRecord],
     selected: Sequence[ClaimRecord],
-    min_tokens: int = LONG_EVIDENCE_TOKENS,
 ) -> list[ClaimRecord]:
-    """Append every unselected pool record with >= min_tokens evidence tokens."""
+    """Append every unselected pool record with >= LONG_EVIDENCE_TOKENS evidence tokens."""
     out = list(selected)
     have = {rec.id for rec in selected}
     for rec in pool:
-        if rec.id not in have and count_tokens(rec.evidence_text()) >= min_tokens:
+        if rec.id not in have and count_tokens(rec.evidence_text()) >= LONG_EVIDENCE_TOKENS:
             out.append(rec)
             have.add(rec.id)
     return out

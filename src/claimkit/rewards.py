@@ -14,13 +14,14 @@ or more of them, which the diversity reward embeds. No judge reply feeds
 another prompt, so every rollout is planned before any call is sent.
 `fetch_plan` dispatches a plan: one `judge_generate_many` call, which reads
 the cache once per distinct prompt, calls the judge once per distinct miss
-(concurrently over HTTP) and stores each reply, and one `embed` call over
-the distinct questions, sent 64 texts per request. It returns backends that
-hold the replies and a unit vector per question. Scoring then reads every
-verdict and vector from those, and calls no judge or embedder and renders
-no prompt. `score_rollouts` runs the three steps over parsed rollouts.
-`total_reward`, or a component, given backends without fetched data plans
-and fetches its own.
+(concurrently over HTTP), stores each reply and returns one reply per
+prompt in plan order, and one `embed` call over the distinct questions,
+sent 64 texts per request, which returns one vector per question in order.
+It returns backends that hold the replies and a unit vector per question.
+Scoring then reads every verdict and vector from those, and calls no judge
+or embedder and renders no prompt. `score_rollouts` runs the three steps
+over parsed rollouts. `total_reward`, or a component, given backends
+without fetched data plans and fetches its own.
 """
 
 from __future__ import annotations
@@ -248,14 +249,12 @@ class _Fetched(RewardBackends):
 def fetch_plan(bk: RewardBackends, plan: RewardPlan) -> RewardBackends:
     """Fetch a plan's judge replies and question vectors in one dispatch; the
     returned backends score any rollout the plan covers with no further call."""
-    prompts = dict.fromkeys((key[0].value, prompt) for key, prompt in plan.prompts.items())
-    fetched = judge_generate_many(bk.judge, prompts, bk.params, bk.cache)
-    # One reply per distinct (template id, prompt), returned in request order.
-    reply_to = dict(zip(prompts, fetched.values(), strict=True))
-    replies = {key: reply_to[key[0].value, prompt] for key, prompt in plan.prompts.items()}
+    requests = [(key[0].value, prompt) for key, prompt in plan.prompts.items()]
+    replies = judge_generate_many(bk.judge, requests, bk.params, bk.cache)
     texts = list(plan.questions)
-    rows = embed(texts, bk.embedding, bk.cache) if texts else []
-    return _Fetched(bk.judge, bk.embedding, bk.cache, bk.params, replies, dict(zip(texts, rows)))
+    vectors = embed(texts, bk.embedding, bk.cache)
+    return _Fetched(bk.judge, bk.embedding, bk.cache, bk.params,
+                    dict(zip(plan.prompts, replies)), dict(zip(texts, vectors)))
 
 
 def _fetched(bk: RewardBackends, asks: Callable[..., list[Ask]], *args) -> _Fetched:
@@ -480,8 +479,7 @@ def _score(record: ClaimRecord, report: ParseReport, mode: SupervisionMode,
             nec_pq, nec = necessity_reward_relative(record.claim, answers, bk)
         else:
             nec_pq, nec = [], 0.0
-            if "no-answers" not in flags and not answers:
-                flags.append("no-answers")
+            flags.append("no-answers")
         mode_name = "unlabeled"
 
     total = fmt + ver + qc + div + cov + nec + joint

@@ -310,12 +310,64 @@ class TestJudgePlumbing:
         # each call's record stored as it returns, with one put_many
         assert puts == [[cache_key(t, prompt, "counting", params)]
                         for t, prompt in (("t", "b"), ("t", "a"), ("u", "b"))]
-        assert replies == {("t", prompt_digest("b")): "reply to b",
-                           ("t", prompt_digest("a")): "reply to a",
-                           ("t", prompt_digest("hit")): "stored",
-                           ("u", prompt_digest("b")): "reply to b"}
+        # one reply per request, in request order, duplicates included
+        assert replies == ["reply to b", "reply to a", "reply to b", "stored", "reply to b",
+                           "reply to a"]
         assert judge_generate(Counting(), "a", params, cache, template_id="t") == "reply to a"
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("over_http", [False, True])
+    def test_fetch_cached_returns_one_record_per_request_in_order(self, over_http, request):
+        params = DecodingParams()
+        if over_http:  # concurrent calls, finishing out of request order
+            judge_server = request.getfixturevalue("judge_server")
+
+            def respond(prompt):
+                time.sleep(0.05 * (prompt == "a"))
+                return 200, f"reply to {prompt}"
+
+            judge_server.respond = respond
+            backend = HttpJudgeBackend(judge_server.url)
+        else:
+            class Local:
+                backend_id = "local"
+
+                def generate(self, prompt, params):
+                    return f"reply to {prompt}"
+
+            backend = Local()
+        cache = MemoryCache()
+        cache.put("k-hit", {"response": "stored"})
+        requests = [("k-a", "a"), ("k-b", "b"), ("k-a", "a"), ("k-hit", "hit"), ("k-c", "c"),
+                    ("k-b", "b"), ("k-hit", "hit")]
+        calls = []
+
+        def call(batch):
+            calls.append(batch)
+            return [{"response": backend.generate(prompt, params)} for prompt in batch]
+
+        records = transport.fetch_cached(backend, cache, requests, call)
+        expected = ["reply to a", "reply to b", "reply to a", "stored", "reply to c",
+                    "reply to b", "stored"]
+        assert [record["response"] for record in records] == expected
+        assert sorted(calls) == [["a"], ["b"], ["c"]]  # each distinct miss once
+
+    @pytest.mark.parametrize("reply", [5, None, ["text"]])
+    def test_non_string_reply_is_protocol_error_and_not_stored(self, tmp_path, reply):
+        class Odd:
+            backend_id = "odd"
+
+            def generate(self, prompt, params):
+                return reply
+
+        fixture = tmp_path / "fx.jsonl"
+        fixture.write_text(json.dumps({"digest": prompt_digest("p"), "response": reply}) + "\n")
+        for backend in (Odd(), FixtureJudgeBackend(fixture)):
+            cache = MemoryCache()
+            with pytest.raises(ProtocolError, match="not a string"):
+                judge_generate(backend, "p", DecodingParams(), cache)
+            assert cache.get_many([cache_key("judge", "p", backend.backend_id,
+                                             DecodingParams())]) == {}
 
     def test_generate_many_raises_earliest_failure_and_keeps_the_rest(self, judge_server):
         def respond(prompt):
@@ -479,12 +531,13 @@ class TestDifficulty:
             def probability_supported(self, claim, evidence):
                 return 0.9
 
-        assert difficulty_score(self._record(Label.SUPPORTED), Fixed()) == 0.9
-        assert difficulty_score(self._record(Label.REFUTED), Fixed()) == pytest.approx(0.1)
+        cache = MemoryCache()
+        assert difficulty_score(self._record(Label.SUPPORTED), Fixed(), cache) == 0.9
+        assert difficulty_score(self._record(Label.REFUTED), Fixed(), cache) == pytest.approx(0.1)
 
     def test_unlabeled_errors(self):
         with pytest.raises(ValueError):
-            difficulty_score(self._record(None), HashVerifierBackend())
+            difficulty_score(self._record(None), HashVerifierBackend(), MemoryCache())
 
     def test_out_of_range_probability_rejected(self):
         class Bad:
@@ -494,14 +547,14 @@ class TestDifficulty:
                 return 1.5
 
         with pytest.raises(ValueError):
-            difficulty_score(self._record(Label.SUPPORTED), Bad())
+            difficulty_score(self._record(Label.SUPPORTED), Bad(), MemoryCache())
 
     def test_fixture_verifier(self, tmp_path):
         path = tmp_path / "p.jsonl"
         with open(path, "w") as fh:
             fh.write(json.dumps({"digest": prompt_digest("c"), "p_supported": 0.4}) + "\n")
         backend = FixtureVerifierBackend(path)
-        assert difficulty_score(self._record(Label.SUPPORTED), backend) == 0.4
+        assert difficulty_score(self._record(Label.SUPPORTED), backend, MemoryCache()) == 0.4
 
     def test_scores_fetch_each_distinct_record_once(self):
         asked = []
@@ -516,11 +569,12 @@ class TestDifficulty:
                    for i, (claim, label) in enumerate([("a", Label.SUPPORTED),
                                                        ("b", Label.REFUTED),
                                                        ("a", Label.SUPPORTED)])]
-        scores = difficulty_scores(records, Counting())  # no cache: replies kept per call
+        scores = difficulty_scores(records, Counting(), MemoryCache())
         assert asked == ["a", "b"]
-        assert scores == [difficulty_score(r, HashVerifierBackend()) for r in records]
+        assert scores == [difficulty_score(r, HashVerifierBackend(), MemoryCache())
+                          for r in records]
         with pytest.raises(ValueError, match="no gold label"):
-            difficulty_scores(records + [self._record(None)], Counting())
+            difficulty_scores(records + [self._record(None)], Counting(), MemoryCache())
         assert asked == ["a", "b"]  # every record is checked before any call
 
     def test_cached_score_stable(self, tmp_path):

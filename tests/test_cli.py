@@ -16,11 +16,11 @@ from test_acceptance import _random_trace
 from test_rewards import GarblingJudge, _ref_total_reward
 
 from claimkit import cli, rewards
-from claimkit.backends import DiskCache, MemoryCache
+from claimkit.backends import DecodingParams, DiskCache, MemoryCache, prompt_digest
 from claimkit.backends.embeddings import EMBED_CHUNK
 from claimkit.cli import dispatch
 from claimkit.corpus import ClaimRecord, HeuristicEntityCounter, Label, ingest_claims, write_claims
-from claimkit.funnel import FunnelConfig, FunnelReport, RuleThresholds, rule_filter
+from claimkit.funnel import FunnelConfig, FunnelReport, RuleThresholds, rule_filter, silver_stage
 from claimkit.mock import HashEmbeddingBackend, HashJudgeBackend
 from claimkit.rewards import (
     Labeled,
@@ -255,6 +255,48 @@ class TestScoring:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: backend:")
         assert not out.exists()
+
+    def test_non_string_judge_reply_is_one_backend_error_every_run(self, tmp_path, corpus_files,
+                                                                    judge_server, capsys):
+        claims, traces = self._write_score_inputs(tmp_path, corpus_files)
+        judge_server.respond = lambda prompt: (200, 5)  # {"text": 5}
+        cache = tmp_path / "c"
+        for _ in range(2):  # nothing bad is cached, so a rerun asks again and fails the same
+            asked = len(judge_server.prompts)
+            assert dispatch(["score", "--traces", str(traces), "--claims", str(claims),
+                             "--out", str(tmp_path / "rewards.jsonl"),
+                             "--judge", judge_server.url, "--cache-dir", str(cache)]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: backend:")
+            assert "not a string" in err[0]
+            assert len(judge_server.prompts) > asked
+        with closing(sqlite3.connect(cache / DiskCache.FILE_NAME)) as db:
+            blobs = [json.loads(blob) for (blob,) in db.execute("SELECT blob FROM responses")]
+        assert not any("response" in record for record in blobs)
+        assert not (tmp_path / "rewards.jsonl").exists()
+
+    def test_warm_fetches_compute_no_prompt_digest(self, tmp_path, corpus_files, monkeypatch):
+        # A cache hit is found by its cache key alone: no reply is looked up
+        # by a digest of its prompt.
+        claims, traces = self._write_score_inputs(tmp_path, corpus_files, group=True)
+        argv = ["score-group", "--traces", str(traces), "--claims", str(claims),
+                "--cache-dir", str(tmp_path / "c"), "--out"]
+        records = ingest_claims(claims)
+        silver_cache = MemoryCache()
+        assert dispatch(argv + [str(tmp_path / "cold.jsonl")]) == 0
+        cold = silver_stage(records, HashJudgeBackend(), silver_cache, DecodingParams())
+
+        digested = []
+        for name, module in list(sys.modules.items()):
+            if name.startswith("claimkit") and getattr(module, "prompt_digest",
+                                                       None) is prompt_digest:
+                monkeypatch.setattr(module, "prompt_digest",
+                                    lambda text: digested.append(text) or prompt_digest(text))
+        assert dispatch(argv + [str(tmp_path / "warm.jsonl")]) == 0
+        warm = silver_stage(records, HashJudgeBackend(), silver_cache, DecodingParams())
+        assert digested == []
+        assert warm == cold
+        assert (tmp_path / "cold.jsonl").read_bytes() == (tmp_path / "warm.jsonl").read_bytes()
 
     def test_score_rerun_replaces_truncated_cache_files(self, tmp_path, corpus_files):
         claims, traces = self._write_score_inputs(tmp_path, corpus_files)

@@ -1,6 +1,8 @@
 """Corpus ingestion, tokenization, overlap, and entity counting."""
 
 import json
+import os
+import stat
 import unicodedata
 
 import pytest
@@ -19,6 +21,7 @@ from claimkit.corpus import (
     tokenize,
     write_claims,
 )
+from claimkit.funnel import atomic_write_text
 
 
 def _write_jsonl(path, rows):
@@ -77,6 +80,41 @@ class TestIngest:
         _write_jsonl(path, [{"id": "1", "claim": "c", "source": "s"}])
         with pytest.raises(IngestError):
             ingest_claims(path)
+
+    @pytest.mark.parametrize("silver", [True, False, 0, 2.0, "2"])
+    def test_silver_count_must_be_a_positive_integer(self, tmp_path, silver):
+        path = tmp_path / "claims.jsonl"
+        _write_jsonl(path, [{"id": "1", "claim": "c", "evidence": ["e"], "source": "s",
+                             "silver_question_count": silver}])
+        with pytest.raises(IngestError, match="silver_question_count"):
+            ingest_claims(path)
+
+    def test_write_claims_replaces_the_file_whole(self, tmp_path):
+        path = tmp_path / "claims.jsonl"
+        record = ClaimRecord(id="a", claim="c", evidence=["e"], source="s")
+        write_claims([record], path)
+        before = path.read_bytes()
+
+        def failing():
+            yield ClaimRecord(id="b", claim="c", evidence=["e"], source="s")
+            raise RuntimeError("records ran out")
+
+        with pytest.raises(RuntimeError):
+            write_claims(failing(), path)
+        assert path.read_bytes() == before  # neither truncated nor half written
+        assert [p.name for p in tmp_path.iterdir()] == ["claims.jsonl"]  # no temp file left
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_written_file_mode_follows_the_umask(self, tmp_path, umask):
+        saved = os.umask(umask)
+        try:
+            write_claims([ClaimRecord(id="a", claim="c", evidence=["e"], source="s")],
+                         tmp_path / "claims.jsonl")
+            atomic_write_text(tmp_path / "report.json", "{}\n")
+        finally:
+            os.umask(saved)
+        for name in ("claims.jsonl", "report.json"):  # as open(path, "w") would leave them
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o666 & ~umask
 
 
 class TestTokenize:

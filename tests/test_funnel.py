@@ -21,7 +21,7 @@ from conftest import (
     ref_tokenize,
 )
 
-from claimkit.backends import MemoryCache, embed
+from claimkit.backends import DecodingParams, MemoryCache, embed
 from claimkit.corpus import (
     STOPWORDS,
     ClaimRecord,
@@ -603,7 +603,7 @@ class TestStages:
         record = rec("r", "claim text")
         for p, keep in [(0.3, True), (0.5, True), (0.8, True),
                         (0.29, False), (0.81, False), (0.9, False)]:
-            kept, rejected = difficulty_filter([record], Fixed(p))
+            kept, rejected = difficulty_filter([record], Fixed(p), MemoryCache())
             assert bool(kept) is keep, p
             if not keep:
                 assert rejected[0][1] == "difficulty-out-of-band"
@@ -621,7 +621,7 @@ class TestStages:
 
         records = [rec("ok", "a normal claim"), rec("one", "a single claim"),
                    rec("bad", "an unparsable claim")]
-        kept, rejected = silver_stage(records, Scripted(), MemoryCache())
+        kept, rejected = silver_stage(records, Scripted(), MemoryCache(), DecodingParams())
         assert [r.id for r in kept] == ["ok"]
         assert kept[0].silver_question_count == 3
         reasons = dict((r.id, why) for r, why in rejected)
