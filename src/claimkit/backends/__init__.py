@@ -1,6 +1,14 @@
 """External-evaluator handles: judges, embeddings, difficulty verifier, cache."""
 
-from .cache import Cache, DecodingParams, DiskCache, MemoryCache, cache_key, prompt_digest
+from .cache import (
+    Cache,
+    CacheRecordError,
+    DecodingParams,
+    DiskCache,
+    MemoryCache,
+    cache_key,
+    prompt_digest,
+)
 from .difficulty import (
     FixtureVerifierBackend,
     HttpVerifierBackend,
@@ -39,6 +47,7 @@ __all__ = [
     "ATOMICITY_KEYS",
     "AtomicityChecklist",
     "Cache",
+    "CacheRecordError",
     "DecodingParams",
     "DiskCache",
     "EmbeddingBackend",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,6 +53,15 @@ def prompt_digest(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
+class CacheRecordError(ValueError):
+    """A stored record that parses but does not hold what its kind needs,
+    such as one written by another claimkit or edited by hand."""
+
+    def __init__(self, kind: str, problem: str):
+        super().__init__(f"cache: a stored {kind} record {problem}; "
+                         "delete the cache directory and run again")
+
+
 class Cache(Protocol):
     """A response store shared by the stages, rewards and backends.
 
@@ -72,6 +82,8 @@ class Cache(Protocol):
 
 
 _SELECT_BATCH = 500  # keys per SELECT ... IN (...), under SQLite's bound-parameter limit
+_BUSY_TIMEOUT_S = 5.0  # longest wait for another connection's lock (sqlite3.connect's default)
+_BUSY_POLL_S = 0.005  # pause between tries to switch a new database to WAL
 
 
 def _parse(blob: bytes) -> dict | None:
@@ -104,10 +116,22 @@ class DiskCache:
         self.path = self.root / self.FILE_NAME
         self._lock = threading.Lock()
         with self._locked():
-            self._db = sqlite3.connect(self.path, isolation_level=None,
-                                       check_same_thread=False)
+            self._db = sqlite3.connect(self.path, timeout=_BUSY_TIMEOUT_S,
+                                       isolation_level=None, check_same_thread=False)
             try:
-                self._db.execute("PRAGMA journal_mode=WAL")
+                # Switching a new database to WAL upgrades a read lock to a
+                # write lock, which SQLite refuses at once, without the busy
+                # timeout, while another connection to the new file holds a
+                # read lock; so wait here as the busy timeout would.
+                deadline = time.monotonic() + _BUSY_TIMEOUT_S
+                while True:
+                    try:
+                        self._db.execute("PRAGMA journal_mode=WAL")
+                        break
+                    except sqlite3.OperationalError as exc:
+                        if "database is locked" not in str(exc) or time.monotonic() > deadline:
+                            raise
+                    time.sleep(_BUSY_POLL_S)
                 # A commit lost to a power failure only costs a refetch.
                 self._db.execute("PRAGMA synchronous=NORMAL")
                 # 256 KiB of page cache, not SQLite's 2 MiB: every command opens

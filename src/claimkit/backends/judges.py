@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import asdict
 from typing import Iterable, Protocol
 
-from .cache import Cache, DecodingParams, cache_key, prompt_digest
+from .cache import Cache, CacheRecordError, DecodingParams, cache_key, prompt_digest
 from .transport import FixtureBackend, HttpBackend, ProtocolError, fetch_cached
 
 
@@ -71,7 +71,7 @@ def judge_generate_many(
 
     Each distinct request is fetched once through `fetch_cached`, one prompt
     per call. A reply that is not a string raises ProtocolError and is not
-    stored.
+    stored; a stored record without a string reply raises CacheRecordError.
     """
     def call(batch: list[tuple[str, str]]) -> list[dict]:
         ((template_id, prompt),) = batch
@@ -89,4 +89,8 @@ def judge_generate_many(
     records = fetch_cached(backend, cache, (
         (cache_key(template_id, prompt, backend.backend_id, params), (template_id, prompt))
         for template_id, prompt in requests), call)
-    return [record["response"] for record in records]
+    replies = [record.get("response") if isinstance(record, dict) else None
+               for record in records]
+    if not all(isinstance(reply, str) for reply in replies):
+        raise CacheRecordError("judge", "has no string 'response'")
+    return replies

@@ -218,6 +218,42 @@ class TestCache:
         with DiskCache(tmp_path / "c") as cache:
             assert {key: record["writer"] for key, record in cache.get_many(got_a).items()} == got_a
 
+    def test_processes_opening_new_caches_together_all_open(self, tmp_path):
+        # Three processes open each of 60 new caches at the same moment: each
+        # marks its arrival in the trial's directory and waits for the other
+        # two. Switching a new database to WAL refuses a second connection at
+        # once, so without a wait some opens fail with "database is locked".
+        src = Path(__file__).resolve().parents[1] / "src"
+        script = (
+            "import json, os, sys\n"
+            "from claimkit.backends.cache import DiskCache\n"
+            "name, root = sys.argv[1:]\n"
+            "failed = []\n"
+            "for trial in range(60):\n"
+            "    here = os.path.join(root, str(trial))\n"
+            "    os.makedirs(here, exist_ok=True)\n"
+            "    open(os.path.join(here, 'at-' + name), 'w').close()\n"
+            "    while len(os.listdir(here)) < 3:\n"
+            "        pass\n"
+            "    try:\n"
+            "        with DiskCache(os.path.join(here, 'cache')) as cache:\n"
+            "            cache.put('key', {'writer': name})\n"
+            "    except OSError as exc:\n"
+            "        failed.append(f'trial {trial}: {exc}')\n"
+            "print(json.dumps(failed))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src))
+        procs = [subprocess.Popen([sys.executable, "-c", script, name, str(tmp_path)], env=env,
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+                 for name in ("a", "b", "c")]
+        try:
+            outs = [proc.communicate(timeout=120) for proc in procs]
+        finally:
+            for proc in procs:
+                proc.kill()
+        assert [proc.returncode for proc in procs] == [0, 0, 0], outs
+        assert [json.loads(out) for out, _ in outs] == [[], [], []]
+
     def test_unparseable_file_is_a_miss_and_replaced(self, tmp_path):
         key, other = cache_key("t", "p", "b"), cache_key("t", "q", "b")
         with DiskCache(tmp_path / "c") as cache:
@@ -475,7 +511,108 @@ class TestParsers:
             parse_question_list("no questions here at all")
 
 
+def _normalize_reference(vector):
+    """How `embed` normalized a vector read back from a JSON list before
+    vectors were stored packed; its rows must come out bit for bit the same."""
+    arr = np.asarray(vector, dtype=np.float64)
+    norm = np.linalg.norm(arr)
+    return arr if norm == 0 else arr / norm
+
+
+class ListEmbedding:
+    """Replies with the vector lists in `table` exactly as given."""
+
+    backend_id = "list-embedding"
+
+    def __init__(self, table):
+        self.table = table
+        self.calls = 0
+
+    def embed_texts(self, texts):
+        self.calls += 1
+        return [self.table[text] for text in texts]
+
+
+AWKWARD_VECTORS = {
+    "ints": [3, 4, 12],
+    "negative zero": [-0.0, 1.0, -2.5],
+    "subnormal": [5e-324, 1.0, 0.1],
+    "only subnormal": [5e-324, 0.0, -0.0],  # its norm underflows to 0: left as it is
+    "huge": [1e308, 1e308, 1.0],  # its norm overflows to inf
+    "one huge": [1e308, 0.0, 0.0],
+    "zero": [0.0, -0.0, 0.0],
+    "zero ints": [0, 0, 0],
+    "tenths": [0.1, 0.2, 0.3],
+}
+
+
+@pytest.fixture(params=["memory", "disk"])
+def make_cache(request, tmp_path):
+    """A factory of caches over one store: a `DiskCache` reopened on one
+    directory, or one `MemoryCache`."""
+    if request.param == "memory":
+        cache = MemoryCache()
+        yield lambda: cache
+        return
+    opened = []
+    yield lambda: opened.append(DiskCache(tmp_path / "c")) or opened[-1]
+    for cache in opened:
+        cache.close()
+
+
 class TestEmbeddings:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the huge vectors
+    def test_vectors_are_bitwise_the_normalized_lists(self, make_cache):
+        texts = list(AWKWARD_VECTORS)
+        backend = ListEmbedding(AWKWARD_VECTORS)
+        want = np.vstack([_normalize_reference(AWKWARD_VECTORS[text]) for text in texts])
+        for _ in ("cold", "warm"):
+            X = embed(texts + texts[:2], backend, make_cache())
+            assert X.dtype == np.float64 and X.shape == (len(texts) + 2, 3)
+            assert X[:len(texts)].tobytes() == want.tobytes()
+            assert X[len(texts):].tobytes() == want[:2].tobytes()
+        assert backend.calls == 1
+
+        mock_texts = [f"claim number {i}" for i in range(300)]
+        mock = HashEmbeddingBackend()
+        want = np.vstack([_normalize_reference(vec) for vec in mock.embed_texts(mock_texts)])
+        for _ in ("cold", "warm"):
+            assert embed(mock_texts, mock, make_cache()).tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_json_list_rows_of_an_older_cache_are_embedded_again_and_stay(self, tmp_path):
+        texts = list(AWKWARD_VECTORS)
+        backend = ListEmbedding(AWKWARD_VECTORS)
+        old_rows = {cache_key("embedding", text, backend.backend_id):
+                    {"backend_id": backend.backend_id, "vector": AWKWARD_VECTORS[text]}
+                    for text in texts}
+        with DiskCache(tmp_path / "c") as cache:
+            cache.put_many(old_rows.items())
+        want = np.vstack([_normalize_reference(AWKWARD_VECTORS[text]) for text in texts])
+        for calls in (1, 1):  # embedded once, then read from the new rows
+            with DiskCache(tmp_path / "c") as cache:
+                assert embed(texts, backend, cache).tobytes() == want.tobytes()
+            assert backend.calls == calls
+        with DiskCache(tmp_path / "c") as cache:
+            assert cache.get_many(old_rows) == old_rows
+            new_rows = cache.get_many(cache_key("embedding-f64", text, backend.backend_id)
+                                      for text in texts)
+        assert len(new_rows) == len(texts)
+        assert all(set(row) == {"backend_id", "vector_f64"} for row in new_rows.values())
+
+    @pytest.mark.parametrize("vector", [["x", "y"], [[1.0, 2.0]], [[1.0], [2.0, 3.0]], [],
+                                        "1.5", {"a": 1.0}, [10 ** 400]])
+    def test_unusable_vector_is_protocol_error_and_not_stored(self, tmp_path, loopback,
+                                                               vector):
+        loopback.reply = (200, json.dumps({"vectors": [vector]}).encode())
+        fixture = tmp_path / "vec.jsonl"
+        fixture.write_text(json.dumps({"digest": prompt_digest("a"), "vector": vector}) + "\n")
+        for backend in (HttpEmbeddingBackend(loopback.url), FixtureEmbeddingBackend(fixture)):
+            with DiskCache(tmp_path / "c") as cache:
+                with pytest.raises(ProtocolError, match="embedding vector"):
+                    embed(["a"], backend, cache)
+            assert _rows(tmp_path / "c") == []
+
     def test_unit_norm_and_cache(self, tmp_path):
         cache = DiskCache(tmp_path / "c")
         backend = HashEmbeddingBackend()

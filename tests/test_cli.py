@@ -307,13 +307,41 @@ class TestScoring:
         with closing(sqlite3.connect(cache / DiskCache.FILE_NAME)) as db, db:
             rows = db.execute("SELECT key, blob FROM responses ORDER BY key").fetchall()
             cut = [json.loads(blob) for _, blob in rows[::2]]
-            assert any("response" in r for r in cut) and any("vector" in r for r in cut)
+            assert any("response" in r for r in cut) and any("vector_f64" in r for r in cut)
             db.executemany("UPDATE responses SET blob = ? WHERE key = ?",
                            [(blob[:20], key) for key, blob in rows[::2]])
         assert dispatch(argv + [str(tmp_path / "second.jsonl")]) == 0
         assert (tmp_path / "first.jsonl").read_bytes() == (tmp_path / "second.jsonl").read_bytes()
         with closing(sqlite3.connect(cache / DiskCache.FILE_NAME)) as db:
             assert db.execute("SELECT key, blob FROM responses ORDER BY key").fetchall() == rows
+
+    @pytest.mark.parametrize("kind, field, value", [
+        ("judge", "response", 5),
+        ("judge", "response", ["a list"]),
+        ("embedding", "vector_f64", "AAAAAAAAAAAAAAAA"),  # 12 bytes: no whole float64s
+        ("embedding", "vector_f64", ""),
+        ("embedding", "vector_f64", "not base64"),
+        ("embedding", "vector_f64", 5),
+    ])
+    def test_cached_record_of_the_wrong_shape_is_one_error_line(self, tmp_path, corpus_files,
+                                                                capsys, kind, field, value):
+        claims, traces = self._write_score_inputs(tmp_path, corpus_files)
+        cache = tmp_path / "c"
+        argv = ["score", "--traces", str(traces), "--claims", str(claims),
+                "--cache-dir", str(cache), "--out", str(tmp_path / "out.jsonl")]
+        assert dispatch(argv) == 0
+        with closing(sqlite3.connect(cache / DiskCache.FILE_NAME)) as db, db:
+            key, record = next((key, json.loads(blob)) for key, blob in
+                               db.execute("SELECT key, blob FROM responses ORDER BY key")
+                               if field in json.loads(blob))
+            db.execute("UPDATE responses SET blob = ? WHERE key = ?",
+                       (json.dumps({**record, field: value}), key))
+        capsys.readouterr()
+        for _ in range(2):  # every run, until the cache directory is deleted
+            assert dispatch(argv) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error: cache: a stored {kind} record")
+            assert err[0].endswith("delete the cache directory and run again")
 
     def test_score_unknown_id_is_usage_error(self, tmp_path, corpus_files):
         claims, traces = self._write_score_inputs(tmp_path, corpus_files)
@@ -526,11 +554,12 @@ class TestEval:
 def test_cli_import_leaves_http_client_and_sqlite3_unloaded():
     # The HTTP client is imported on the first HTTP call and `sqlite3` when a
     # cache is opened; loading either with the CLI would add its import time
-    # to every command.
+    # to every command. Embedding rows are packed with `binascii`, which is
+    # loaded anyway, not with `base64`, which would add its own.
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = ("import sys, claimkit.cli; "
-            "sys.exit(sorted({'urllib.request', 'http.client', 'sqlite3'} & sys.modules.keys()) or None)")
+    code = ("import sys, claimkit.cli; sys.exit(sorted({'urllib.request', 'http.client', "
+            "'sqlite3', 'base64'} & sys.modules.keys()) or None)")
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
 
