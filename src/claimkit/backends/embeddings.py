@@ -5,11 +5,12 @@ Cache entries are keyed by text hash + backend id under the
 misses reach the backend EMBED_CHUNK texts per call. Each entry holds the
 backend's vector as it arrived, packed once when stored: the base64 of its
 little-endian float64 bytes, in the record's "vector_f64" field. A reply
-that does not pack into a non-empty flat vector is a ProtocolError and is
-not stored. A batch's rows are decoded into one array and L2-normalized
-there, each by its own norm, so cosine is a plain dot product. Rows that
-an older claimkit stored as JSON lists, under the "embedding" namespace,
-are never read: such a cache embeds each text once more.
+that does not pack into a non-empty flat vector of finite numbers (a null,
+NaN or an infinity is none) is a ProtocolError and is not stored. A
+batch's rows are decoded into one array and L2-normalized there, each by
+its own norm, so cosine is a plain dot product. Rows that an older
+claimkit stored as JSON lists, under the "embedding" namespace, are never
+read: such a cache embeds each text once more.
 """
 
 from __future__ import annotations
@@ -50,15 +51,21 @@ class FixtureEmbeddingBackend(FixtureBackend):
         return [self._lookup(text) for text in texts]
 
 
-def _pack(vector) -> str:
-    """The base64 of vector's little-endian float64 bytes."""
-    try:
-        arr = np.asarray(vector, dtype="<f8")
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ProtocolError(f"embedding vector is not a list of numbers: {exc}") from None
-    if arr.ndim != 1 or not arr.size:
-        raise ProtocolError(f"embedding vector has shape {arr.shape}, not a non-empty list")
-    return binascii.b2a_base64(arr.tobytes(), newline=False).decode("ascii")
+def _pack(vectors) -> list[str]:
+    """The base64 of each vector's little-endian float64 bytes."""
+    arrays = []
+    for vector in vectors:
+        try:
+            arr = np.asarray(vector, dtype="<f8")
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ProtocolError(f"embedding vector is not a list of numbers: {exc}") from None
+        if arr.ndim != 1 or not arr.size:
+            raise ProtocolError(f"embedding vector has shape {arr.shape}, not a non-empty list")
+        arrays.append(arr)
+    # one check per batch: a null converts to NaN
+    if arrays and not np.isfinite(np.concatenate(arrays)).all():
+        raise ProtocolError("embedding vector holds a null, NaN or an infinity")
+    return [binascii.b2a_base64(arr.tobytes(), newline=False).decode("ascii") for arr in arrays]
 
 
 def _not_packed() -> CacheRecordError:
@@ -89,8 +96,8 @@ def embed(texts: list[str], backend: EmbeddingBackend, cache: Cache) -> np.ndarr
     keys = [cache_key("embedding-f64", text, backend.backend_id) for text in texts]
     stored = fetch_cached(
         backend, cache, zip(keys, texts),
-        lambda batch: [{"backend_id": backend.backend_id, "vector_f64": _pack(vec)}
-                       for vec in backend.embed_texts(batch)],
+        lambda batch: [{"backend_id": backend.backend_id, "vector_f64": blob}
+                       for blob in _pack(backend.embed_texts(batch))],
         chunk=EMBED_CHUNK,
     )
     if not stored:

@@ -3,8 +3,10 @@
 Subcommands: `funnel run`, `funnel report`, `dedup`, `decontaminate`,
 `select`, `score`, `score-group`, and `eval`. Exit codes: 0 success,
 1 stage or backend failure (single machine-parseable error line on
-stderr), 2 usage error. All output files are written atomically, and any
---seed reproduces byte-identical artifacts.
+stderr), 2 usage error; a flag that its command does not take is a usage
+error too. All output files are written atomically, and `funnel run` and
+`select`, the commands that take --seed, give byte-identical artifacts for
+any one seed.
 """
 
 from __future__ import annotations
@@ -49,12 +51,19 @@ class UsageError(ValueError):
     pass
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1, help="has no effect on any command")
-    p.add_argument("--cache-dir", default=".claimkit-cache")
-    p.add_argument("--dry-run", action="store_true",
-                   help="validate inputs and config, write nothing")
+_SHARED_FLAGS = {
+    "--seed": {"type": int, "default": 0},
+    "--workers": {"type": int, "default": 1, "help": "has no effect on any command"},
+    "--cache-dir": {"default": ".claimkit-cache"},
+    "--dry-run": {"action": "store_true", "help": "validate inputs and config, write nothing"},
+}
+
+
+def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
+    """Register --workers and the named shared flags: only those the
+    command's handler reads, so any other is a usage error."""
+    for flag in ("--workers", *flags):
+        p.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
 def _add_backend_flags(p: argparse.ArgumentParser) -> None:
@@ -75,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--report", required=True)
-    _add_common(p_run)
+    _add_common(p_run, "--seed", "--cache-dir", "--dry-run")
     p_run.set_defaults(seed=None, cache_dir=None)  # the config's values apply unless given
 
     p_rep = fsub.add_parser("report", help="render a funnel report")
@@ -87,14 +96,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_dedup.add_argument("--claims", required=True)
     p_dedup.add_argument("--out", required=True)
     p_dedup.add_argument("--embedding", default="mock")
-    _add_common(p_dedup)
+    _add_common(p_dedup, "--cache-dir", "--dry-run")
 
     p_dec = sub.add_parser("decontaminate", help="remove holdout collisions")
     p_dec.add_argument("--claims", required=True)
     p_dec.add_argument("--holdout", required=True)
     p_dec.add_argument("--out", required=True)
     p_dec.add_argument("--embedding", default="mock")
-    _add_common(p_dec)
+    _add_common(p_dec, "--cache-dir", "--dry-run")
 
     p_sel = sub.add_parser("select", help="stratified representative selection")
     p_sel.add_argument("--claims", required=True)
@@ -103,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sel.add_argument("--strategy", default="facility_location",
                        choices=SELECTORS)
     p_sel.add_argument("--embedding", default="mock")
-    _add_common(p_sel)
+    _add_common(p_sel, "--seed", "--cache-dir", "--dry-run")
 
     p_score = sub.add_parser("score", help="score traces into rewards JSONL")
     p_score.add_argument("--traces", required=True)
@@ -111,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--mode", choices=("labeled", "unlabeled"), default="labeled")
     p_score.add_argument("--out", required=True)
     _add_backend_flags(p_score)
-    _add_common(p_score)
+    _add_common(p_score, "--cache-dir", "--dry-run")
 
     p_group = sub.add_parser("score-group",
                              help="score rollout groups: pseudo-labels + advantages")
@@ -120,12 +129,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_group.add_argument("--mode", choices=("labeled", "unlabeled"), default="unlabeled")
     p_group.add_argument("--out", required=True)
     _add_backend_flags(p_group)
-    _add_common(p_group)
+    _add_common(p_group, "--cache-dir", "--dry-run")
 
     p_eval = sub.add_parser("eval", help="balanced accuracy of predictions")
     p_eval.add_argument("--preds", required=True)
     p_eval.add_argument("--gold", required=True)
-    _add_common(p_eval)
+    _add_common(p_eval, "--dry-run")
 
     return parser
 

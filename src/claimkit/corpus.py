@@ -21,7 +21,7 @@ import unicodedata
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Protocol
+from typing import Iterable
 
 
 class Label(Enum):
@@ -38,8 +38,8 @@ class Label(Enum):
         raise ValueError(f"not a 2-way verdict label: {s!r}")
 
 
-# Default mapping for common native verdict schemes. Case-insensitive keys;
-# callers may pass their own table per corpus.
+# The mapping `ingest_claims` reads, from common native verdict schemes to
+# the 2-way scheme; keys are lowercase and matched case-insensitively.
 DEFAULT_LABEL_MAP: dict[str, Label] = {
     "supported": Label.SUPPORTED,
     "supports": Label.SUPPORTED,
@@ -95,16 +95,13 @@ class IngestError(ValueError):
         self.line_no = line_no
 
 
-def ingest_claims(
-    path: str | Path,
-    label_map: dict[str, Label] | None = None,
-) -> list[ClaimRecord]:
-    """Read a claims JSONL file, mapping native label strings to the 2-way scheme.
+def ingest_claims(path: str | Path) -> list[ClaimRecord]:
+    """Read a claims JSONL file, mapping native label strings to the 2-way
+    scheme through DEFAULT_LABEL_MAP.
 
     Preserves file order. Unmapped non-null labels, duplicate ids, and
     schema violations raise IngestError naming the file and the offending line.
     """
-    table = {k.lower(): v for k, v in (label_map or DEFAULT_LABEL_MAP).items()}
     records: list[ClaimRecord] = []
     seen_ids: set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
@@ -138,7 +135,7 @@ def ingest_claims(
             if raw_label is not None:
                 if not isinstance(raw_label, str):
                     raise IngestError(path, line_no, "label must be a string or null")
-                mapped = table.get(raw_label.lower())
+                mapped = DEFAULT_LABEL_MAP.get(raw_label.lower())
                 if mapped is None:
                     raise IngestError(path, line_no, f"unknown label string {raw_label!r}")
                 label = mapped
@@ -248,49 +245,39 @@ def overlap_with_tokens(claim: str, evidence_tokens: Iterable[str]) -> float:
 # --- named-entity counting -----------------------------------------------
 
 
-class EntityCounter(Protocol):
-    """Backend reporting named-entity spans as (start_token, end_token) pairs."""
+def entity_spans(text: str) -> list[tuple[int, int]]:
+    """Named-entity spans of `text` as (start_token, end_token) pairs over its
+    whitespace tokens: runs of capitalized tokens, skipping runs that start
+    at a sentence-initial position.
 
-    def entity_spans(self, text: str) -> list[tuple[int, int]]: ...
-
-
-class HeuristicEntityCounter:
-    """Capitalized-span heuristic: runs of capitalized tokens, skipping runs
-    that start at a sentence-initial position.
-
-    The only entity counter: the "heuristic" and "mock" NER specs both
-    build it, and no external NER backend can be configured.
+    The funnel's only entity counter: it calls no backend, and the config's
+    `ner` spec may name it ("heuristic" or "mock") but selects nothing else.
     """
+    raw_tokens = text.split()
+    sentence_initial = set()
+    prev_ends_sentence = True
+    for i, raw in enumerate(raw_tokens):
+        if prev_ends_sentence:
+            sentence_initial.add(i)
+        prev_ends_sentence = raw.rstrip('"\')').endswith((".", "!", "?"))
+    capitalized = [_strip_punct(raw)[:1].isupper() for raw in raw_tokens]
 
-    def entity_spans(self, text: str) -> list[tuple[int, int]]:
-        raw_tokens = text.split()
-        sentence_initial = set()
-        prev_ends_sentence = True
-        for i, raw in enumerate(raw_tokens):
-            if prev_ends_sentence:
-                sentence_initial.add(i)
-            prev_ends_sentence = raw.rstrip('"\')').endswith((".", "!", "?"))
-        capitalized = [_strip_punct(raw)[:1].isupper() for raw in raw_tokens]
-
-        spans: list[tuple[int, int]] = []
-        i = 0
-        n = len(raw_tokens)
-        while i < n:
-            if capitalized[i]:
-                j = i
-                while j < n and capitalized[j]:
-                    j += 1
-                if i not in sentence_initial:
-                    spans.append((i, j))
-                i = j
-            else:
-                i += 1
-        return spans
+    spans: list[tuple[int, int]] = []
+    i = 0
+    n = len(raw_tokens)
+    while i < n:
+        if capitalized[i]:
+            j = i
+            while j < n and capitalized[j]:
+                j += 1
+            if i not in sentence_initial:
+                spans.append((i, j))
+            i = j
+        else:
+            i += 1
+    return spans
 
 
-def entity_count(claim: str, ner: EntityCounter) -> int:
-    """Count distinct named-entity spans the backend reports for the claim.
-
-    Backend failures propagate; a record is never silently passed.
-    """
-    return len(set(ner.entity_spans(claim)))
+def entity_count(claim: str) -> int:
+    """Count the distinct named-entity spans `entity_spans` finds in the claim."""
+    return len(set(entity_spans(claim)))

@@ -17,12 +17,7 @@ from typing import Sequence
 
 from ..backends import Cache, DecodingParams, DiskCache, EmbeddingBackend, embed
 from ..corpus import ClaimRecord, IngestError, ingest_claims
-from ..wiring import (
-    build_embedding_backend,
-    build_entity_counter,
-    build_judge_backend,
-    build_verifier_backend,
-)
+from ..wiring import build_embedding_backend, build_judge_backend, build_verifier_backend
 from .budget import allocate_budgets
 from .dedup import decontaminate, dedup_minhash, dedup_semantic
 from .select import alt_select, lazy_greedy
@@ -42,6 +37,9 @@ SELECTORS = ("facility_location", "farthest_point", "random")
 _CONFIG_SHAPES = {"inputs": list, "holdouts": list, "thresholds": dict, "backends": dict,
                   "cache_dir": str}
 _JSON_KINDS = {list: "array", dict: "object", str: "string"}
+# "ner" selects nothing: the one entity counter is `corpus.entity_spans`.
+# The key stays accepted, as "heuristic" or "mock", so existing configs load.
+_BACKEND_KEYS = ("judge", "embedding", "verifier", "ner")
 
 
 def _is_number(value) -> bool:
@@ -118,7 +116,7 @@ class FunnelConfig:
     selector: str = "facility_location"
     thresholds: RuleThresholds = field(default_factory=RuleThresholds)
     backends: dict[str, str] = field(default_factory=lambda: {
-        "judge": "mock", "embedding": "mock", "verifier": "mock", "ner": "heuristic",
+        "judge": "mock", "embedding": "mock", "verifier": "mock",
     })
     max_tokens: int = 4096
 
@@ -128,9 +126,15 @@ class FunnelConfig:
             obj = json.load(fh)
         if not isinstance(obj, dict):
             raise ValueError(f"config {path} is not a JSON object")
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config key {unknown[0]!r}")
         for key, kind in _CONFIG_SHAPES.items():
             if not isinstance(obj.get(key, kind()), kind):
                 raise ValueError(f"config {key!r} must be a JSON {_JSON_KINDS[kind]}")
+        unknown = sorted(set(obj.get("backends", {})) - set(_BACKEND_KEYS))
+        if unknown:
+            raise ValueError(f"unknown backend {unknown[0]!r}")
         unknown = sorted(set(obj.get("thresholds", {})) - {f.name for f in fields(RuleThresholds)})
         if unknown:
             raise ValueError(f"unknown threshold {unknown[0]!r}")
@@ -141,6 +145,9 @@ class FunnelConfig:
                  *obj.get("backends", {}).values()]
         if not all(isinstance(name, str) for name in names):
             raise ValueError("config file names and backend specs must be strings")
+        ner = obj.get("backends", {}).get("ner", "heuristic")
+        if ner not in ("heuristic", "mock"):
+            raise ValueError(f"unsupported entity-counter spec {ner!r}")
         optional = ("seed", "cache_dir", "selector", "max_tokens")
         cfg = cls(
             inputs=list(obj.get("inputs", [])),
@@ -229,7 +236,6 @@ def run_funnel(config: FunnelConfig) -> tuple[list[ClaimRecord], FunnelReport]:
     judge = build_judge_backend(config.backends["judge"])
     embedding = build_embedding_backend(config.backends["embedding"])
     verifier = build_verifier_backend(config.backends["verifier"])
-    ner = build_entity_counter(config.backends.get("ner", "heuristic"))
     params = DecodingParams(max_tokens=config.max_tokens)
 
     def decontaminate_stage(pool):
@@ -246,7 +252,7 @@ def run_funnel(config: FunnelConfig) -> tuple[list[ClaimRecord], FunnelReport]:
     # Entries look each stage function up when called, so that a wrapper put
     # on this module's name (perfbench/tracing.py) sees the call.
     stages = (
-        ("rule_filter", lambda pool: rule_filter(pool, config.thresholds, ner)),
+        ("rule_filter", lambda pool: rule_filter(pool, config.thresholds)),
         ("difficulty_filter", lambda pool: difficulty_filter(pool, verifier, cache)),
         ("dedup_minhash", lambda pool: dedup_minhash(pool)),
         ("dedup_semantic", lambda pool: dedup_semantic(pool, embedding, cache)),

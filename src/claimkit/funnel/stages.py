@@ -22,7 +22,6 @@ from ..backends import (
 from ..backends import difficulty_score, judge_generate  # noqa: F401
 from ..corpus import (
     ClaimRecord,
-    EntityCounter,
     count_tokens,
     entity_count,
     overlap_with_tokens,
@@ -50,11 +49,7 @@ class RuleThresholds:
     min_entities: int = 2
 
 
-def rule_violation(
-    record: ClaimRecord,
-    thresholds: RuleThresholds,
-    ner: EntityCounter,
-) -> str | None:
+def rule_violation(record: ClaimRecord, thresholds: RuleThresholds) -> str | None:
     """First failing rule for a record, or None when all gates pass.
 
     Token bounds apply to the concatenated evidence, the same text later
@@ -70,7 +65,7 @@ def rule_violation(
         return "too-long"
     if overlap_with_tokens(record.claim, evidence) >= thresholds.max_lexical_overlap:
         return "high-overlap"
-    if entity_count(record.claim, ner) < thresholds.min_entities:
+    if entity_count(record.claim) < thresholds.min_entities:
         return "too-few-entities"
     return None
 
@@ -89,9 +84,8 @@ def _partition(outcomes: Iterable[tuple[ClaimRecord, str | None]]) -> tuple[list
 def rule_filter(
     records: Sequence[ClaimRecord],
     thresholds: RuleThresholds,
-    ner: EntityCounter,
 ) -> tuple[list[ClaimRecord], list[tuple[ClaimRecord, str]]]:
-    return _partition((rec, rule_violation(rec, thresholds, ner)) for rec in records)
+    return _partition((rec, rule_violation(rec, thresholds)) for rec in records)
 
 
 def difficulty_filter(

@@ -1,10 +1,10 @@
 """Backend construction from config specs.
 
-A spec is a string: "mock", "heuristic" (entity counter), "fixture:<path>",
-or a full "http://..." or "https://..." URL. Environment variables
-CLAIMKIT_JUDGE_ENDPOINT, CLAIMKIT_EMBEDDING_ENDPOINT, and
-CLAIMKIT_VERIFIER_ENDPOINT override the respective specs when set, so
-deployments can retarget without editing config files.
+A spec is a string: "mock", "fixture:<path>", or a full "http://..." or
+"https://..." URL. Environment variables CLAIMKIT_JUDGE_ENDPOINT,
+CLAIMKIT_EMBEDDING_ENDPOINT, and CLAIMKIT_VERIFIER_ENDPOINT override the
+respective specs when set, so deployments can retarget without editing
+config files.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .backends import (
     JudgeBackend,
     VerifierBackend,
 )
-from .corpus import EntityCounter, HeuristicEntityCounter
 from .mock import HashEmbeddingBackend, HashJudgeBackend, HashVerifierBackend
 
 ENV_OVERRIDES = {
@@ -33,13 +32,11 @@ ENV_OVERRIDES = {
 
 
 def _resolve(kind: str, spec: str) -> tuple[str, str]:
-    env = ENV_OVERRIDES.get(kind)
-    if env and os.environ.get(env):
+    env = ENV_OVERRIDES[kind]
+    if os.environ.get(env):
         return "http", os.environ[env]
     if spec == "mock":
         return "mock", ""
-    if spec == "heuristic":
-        return "heuristic", ""
     for scheme in ("fixture", "https", "http"):
         if spec.startswith(scheme + ":"):
             if scheme == "fixture":
@@ -63,9 +60,7 @@ def _build(kind: str, spec: str):
         return mock()
     if how == "fixture":
         return fixture(arg)
-    if how == "http":
-        return http(arg)
-    raise ValueError(f"unsupported {kind} backend spec {spec!r}")
+    return http(arg)
 
 
 def build_judge_backend(spec: str) -> JudgeBackend:
@@ -78,10 +73,3 @@ def build_embedding_backend(spec: str) -> EmbeddingBackend:
 
 def build_verifier_backend(spec: str) -> VerifierBackend:
     return _build("verifier", spec)
-
-
-def build_entity_counter(spec: str) -> EntityCounter:
-    kind, _ = _resolve("ner", spec)
-    if kind in ("heuristic", "mock"):
-        return HeuristicEntityCounter()
-    raise ValueError(f"unsupported entity-counter spec {spec!r}")

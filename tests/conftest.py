@@ -108,7 +108,7 @@ def ref_tokenize(text: str) -> list[str]:
 
 
 class RefEntityCounter:
-    """HeuristicEntityCounter as it was, re-stripping a token at every look."""
+    """`corpus.entity_spans` as it was, re-stripping a token at every look."""
 
     def entity_spans(self, text: str) -> list[tuple[int, int]]:
         raw_tokens = text.split()

@@ -2,6 +2,7 @@
 difficulty scoring."""
 
 import json
+import math
 import os
 import re
 import socket
@@ -601,9 +602,12 @@ class TestEmbeddings:
         assert all(set(row) == {"backend_id", "vector_f64"} for row in new_rows.values())
 
     @pytest.mark.parametrize("vector", [["x", "y"], [[1.0, 2.0]], [[1.0], [2.0, 3.0]], [],
-                                        "1.5", {"a": 1.0}, [10 ** 400]])
+                                        "1.5", {"a": 1.0}, [10 ** 400], [1.0, None, 2.0],
+                                        [1.0, math.inf]])
     def test_unusable_vector_is_protocol_error_and_not_stored(self, tmp_path, loopback,
                                                                vector):
+        # A null or an infinity would pack, and normalize to a row of NaN
+        # that no cosine gate can ever drop.
         loopback.reply = (200, json.dumps({"vectors": [vector]}).encode())
         fixture = tmp_path / "vec.jsonl"
         fixture.write_text(json.dumps({"digest": prompt_digest("a"), "vector": vector}) + "\n")
@@ -612,6 +616,10 @@ class TestEmbeddings:
                 with pytest.raises(ProtocolError, match="embedding vector"):
                     embed(["a"], backend, cache)
             assert _rows(tmp_path / "c") == []
+        cache = MemoryCache()
+        with pytest.raises(ProtocolError, match="embedding vector"):
+            embed(["a"], ListEmbedding({"a": vector}), cache)
+        assert cache.get_many([cache_key("embedding-f64", "a", ListEmbedding.backend_id)]) == {}
 
     def test_unit_norm_and_cache(self, tmp_path):
         cache = DiskCache(tmp_path / "c")

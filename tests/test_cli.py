@@ -19,7 +19,7 @@ from claimkit import cli, rewards
 from claimkit.backends import DecodingParams, DiskCache, MemoryCache, prompt_digest
 from claimkit.backends.embeddings import EMBED_CHUNK
 from claimkit.cli import dispatch
-from claimkit.corpus import ClaimRecord, HeuristicEntityCounter, Label, ingest_claims, write_claims
+from claimkit.corpus import ClaimRecord, Label, ingest_claims, write_claims
 from claimkit.funnel import FunnelConfig, FunnelReport, RuleThresholds, rule_filter, silver_stage
 from claimkit.mock import HashEmbeddingBackend, HashJudgeBackend
 from claimkit.rewards import (
@@ -123,6 +123,21 @@ class TestFunnelCommands:
                          "--out", str(tmp_path / "o.jsonl"),
                          "--report", str(tmp_path / "r.json")] + flag) == 0
         assert seen == [seed]
+
+    def test_ner_spec_selects_nothing(self, tmp_path, funnel_config):
+        # "heuristic" and "mock" both name the one built-in entity counter
+        outs = []
+        for ner in (None, "heuristic", "mock"):
+            cfg = json.loads(funnel_config.read_text())
+            if ner is not None:
+                cfg["backends"] = {"ner": ner}
+            path = tmp_path / f"cfg-{ner}.json"
+            path.write_text(json.dumps(cfg))
+            out, report = tmp_path / f"out-{ner}.jsonl", tmp_path / f"report-{ner}.json"
+            assert dispatch(["funnel", "run", "--config", str(path),
+                             "--out", str(out), "--report", str(report)]) == 0
+            outs.append((out.read_bytes(), report.read_bytes()))
+        assert outs[0] == outs[1] == outs[2]
 
     def test_dry_run_touches_nothing(self, tmp_path, funnel_config):
         out = tmp_path / "out.jsonl"
@@ -507,8 +522,7 @@ class TestFunnelHttpBackends:
         assert code == 0 and http_bytes == mock_bytes
         seen = relay_server.seen
 
-        kept, _ = rule_filter(ingest_claims(corpus_files[0]), RuleThresholds(),
-                              HeuristicEntityCounter())
+        kept, _ = rule_filter(ingest_claims(corpus_files[0]), RuleThresholds())
         assert sorted(seen["verify"]) == sorted({(r.claim, tuple(r.evidence)) for r in kept})
         stages = json.loads((tmp_path / "report-cold.json").read_text())["stages"]
         silver_in = next(s["input_count"] for s in stages if s["name"] == "silver_decompose")
@@ -621,6 +635,13 @@ def _malformed_argv(case, tmp_path, claims):
                 {"id": first, "pred": "Supported"})]), "--gold", bad_claims(claim=5)],
         "funnel holdout claim not a string": lambda: funnel(dict(
             config, holdouts=[bad_claims(claim=5)], cache_dir=str(tmp_path / "c"))),
+        "unknown config key": lambda: funnel(dict(
+            config, holdout=[str(claims)], cache_dir=str(tmp_path / "c"))),
+        "unknown backend": lambda: funnel(dict(
+            config, backends={"embeding": "http://127.0.0.1:9/never"},
+            cache_dir=str(tmp_path / "c"))),
+        "ner spec not the built-in counter": lambda: funnel(dict(
+            config, backends={"ner": "http://127.0.0.1:9/never"}, cache_dir=str(tmp_path / "c"))),
     }[case]()
 
 
@@ -660,6 +681,11 @@ class TestMalformedInput:
          "error: usage: {tmp}/bad-claims.jsonl line 4: claim must be a non-empty string"),
         ("funnel holdout claim not a string", 1, "error: stage ingest: holdout file: "
          "{tmp}/bad-claims.jsonl line 4: claim must be a non-empty string"),
+        # a misspelt key would otherwise skip decontamination or the HTTP embedder
+        ("unknown config key", 1, "error: unknown config key 'holdout'"),
+        ("unknown backend", 1, "error: unknown backend 'embeding'"),
+        ("ner spec not the built-in counter", 1,
+         "error: unsupported entity-counter spec 'http://127.0.0.1:9/never'"),
     ])
     def test_error_line_names_the_fault(self, tmp_path, corpus_files, capsys, case, code, line):
         # Config values are checked before any stage runs, and a claims
@@ -732,4 +758,29 @@ class TestExitCodes:
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
             dispatch(["dedup", "--bogus-flag", "x"])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("command, flag", [
+        pytest.param(command, flag, id=f"{command} {flag[0]}") for command, flag in [
+            *[(command, ["--seed", "3"]) for command in
+              ("funnel report", "dedup", "decontaminate", "score", "score-group", "eval")],
+            ("funnel report", ["--cache-dir", "c"]),
+            ("eval", ["--cache-dir", "c"]),
+            ("funnel report", ["--dry-run"]),
+        ]])
+    def test_flag_its_command_does_not_read_exits_2(self, command, flag):
+        # Each of these flags used to be accepted and then ignored.
+        argv = {
+            "funnel report": ["funnel", "report", "--report", "r.json"],
+            "dedup": ["dedup", "--claims", "c.jsonl", "--out", "o.jsonl"],
+            "decontaminate": ["decontaminate", "--claims", "c.jsonl", "--holdout", "h.jsonl",
+                              "--out", "o.jsonl"],
+            "score": ["score", "--traces", "t.jsonl", "--claims", "c.jsonl", "--out", "o.jsonl"],
+            "score-group": ["score-group", "--traces", "t.jsonl", "--claims", "c.jsonl",
+                            "--out", "o.jsonl"],
+            "eval": ["eval", "--preds", "p.jsonl", "--gold", "g.jsonl"],
+        }[command]
+        cli.build_parser().parse_args(argv)  # the command line is valid without the flag
+        with pytest.raises(SystemExit) as err:
+            dispatch(argv + flag)
         assert err.value.code == 2

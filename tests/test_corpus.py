@@ -11,11 +11,11 @@ from hypothesis import example, given, settings
 
 from claimkit.corpus import (
     ClaimRecord,
-    HeuristicEntityCounter,
     IngestError,
     Label,
     count_tokens,
     entity_count,
+    entity_spans,
     ingest_claims,
     lexical_overlap,
     tokenize,
@@ -148,7 +148,7 @@ class TestTokenize:
     @settings(max_examples=400, deadline=None)
     @given(tokenizer_texts)
     def test_entity_spans_match_reference(self, text):
-        assert HeuristicEntityCounter().entity_spans(text) == RefEntityCounter().entity_spans(text)
+        assert entity_spans(text) == RefEntityCounter().entity_spans(text)
 
 
 class TestLexicalOverlap:
@@ -173,23 +173,12 @@ class TestLexicalOverlap:
 
 class TestEntityCount:
     def test_heuristic_skips_sentence_initial(self):
-        ner = HeuristicEntityCounter()
         # "The" is sentence-initial; "Alice Johnson" and "Paris" count
-        assert entity_count("The physicist Alice Johnson moved to Paris.", ner) == 2
+        assert entity_count("The physicist Alice Johnson moved to Paris.") == 2
 
     def test_heuristic_no_entities(self):
-        ner = HeuristicEntityCounter()
-        assert entity_count("someone moved somewhere in 1921.", ner) == 0
+        assert entity_count("someone moved somewhere in 1921.") == 0
 
     def test_run_grouping(self):
-        ner = HeuristicEntityCounter()
         # "New York City" is one run, one span
-        assert entity_count("She saw New York City yesterday.", ner) == 1
-
-    def test_backend_failure_propagates(self):
-        class Boom:
-            def entity_spans(self, text):
-                raise RuntimeError("ner offline")
-
-        with pytest.raises(RuntimeError):
-            entity_count("Alice", Boom())
+        assert entity_count("She saw New York City yesterday.") == 1

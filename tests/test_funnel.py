@@ -25,9 +25,7 @@ from claimkit.backends import DecodingParams, MemoryCache, embed
 from claimkit.corpus import (
     STOPWORDS,
     ClaimRecord,
-    HeuristicEntityCounter,
     Label,
-    entity_count,
     lexical_overlap,
     write_claims,
 )
@@ -545,7 +543,6 @@ class TestStages:
                            source="s", label=Label.SUPPORTED)
 
     def test_rule_filter_first_failing_reason(self):
-        ner = HeuristicEntityCounter()
         th = RuleThresholds()
         good = self._good_record()
         cases = [
@@ -562,33 +559,18 @@ class TestStages:
                          label=Label.SUPPORTED), "too-few-entities"),
         ]
         records = [good] + [c for c, _ in cases]
-        kept, rejected = rule_filter(records, th, ner)
+        kept, rejected = rule_filter(records, th)
         assert [r.id for r in kept] == ["g"]
         assert [(r.id, why) for r, why in rejected] == \
             [(c.id, why) for c, why in cases]
 
     def test_rule_filter_too_long(self):
-        ner = HeuristicEntityCounter()
         good = self._good_record()
         long_rec = ClaimRecord(id="L", claim=good.claim,
                                evidence=[("word " * 4000)] * 3,
                                source="s", label=Label.SUPPORTED)
-        _, rejected = rule_filter([long_rec], RuleThresholds(), ner)
+        _, rejected = rule_filter([long_rec], RuleThresholds())
         assert rejected[0][1] == "too-long"
-
-    def test_rule_filter_ner_failure_is_stage_error(self, tmp_path, monkeypatch):
-        class Boom:
-            def entity_spans(self, text):
-                raise RuntimeError("ner offline")
-
-        monkeypatch.setattr("claimkit.funnel.run.build_entity_counter", lambda spec: Boom())
-        write_claims([self._good_record()], tmp_path / "claims.jsonl")
-        config = FunnelConfig(inputs=[str(tmp_path / "claims.jsonl")], holdouts=[], budget=1,
-                              cache_dir=str(tmp_path / "cache"))
-        with pytest.raises(StageError) as err:
-            run_funnel(config)
-        assert err.value.stage == "rule_filter"
-        assert str(err.value) == "stage rule_filter: ner offline"
 
     def test_difficulty_band_inclusive(self):
         class Fixed:
@@ -663,7 +645,7 @@ def ref_rule_violation(record, thresholds, ner):
         return "too-long"
     if ref_lexical_overlap(record.claim, record.evidence_text()) >= thresholds.max_lexical_overlap:
         return "high-overlap"
-    if entity_count(record.claim, ner) < thresholds.min_entities:
+    if len(set(ner.entity_spans(record.claim))) < thresholds.min_entities:
         return "too-few-entities"
     return None
 
@@ -712,13 +694,13 @@ class TestRuleViolationDifferential:
                         source=r.source, label=r.label)
             for r in base
         ]
-        clean = next(r for r in base if rule_violation(r, th, HeuristicEntityCounter()) is None)
+        clean = next(r for r in base if rule_violation(r, th) is None)
         edges = [th.min_evidence_tokens - 1, th.min_evidence_tokens,
                  th.max_evidence_tokens, th.max_evidence_tokens + 1]
         boundary = [padded(clean, n, rng) for n in edges]
         reasons = {}
         for record in base + variants + boundary:
-            reason = rule_violation(record, th, HeuristicEntityCounter())
+            reason = rule_violation(record, th)
             assert reason == ref_rule_violation(record, th, RefEntityCounter()), record.id
             assert lexical_overlap(record.claim, record.evidence_text()) == \
                 ref_lexical_overlap(record.claim, record.evidence_text()), record.id

@@ -1,9 +1,14 @@
-"""The benchmark's tracer, which finds package functions by name."""
+"""The benchmark's tracer, which finds package functions by name, and the
+command lines the benchmark passes to the CLI."""
 
+import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import claimkit
+from claimkit.cli import build_parser
 from claimkit.corpus import write_claims
 from claimkit.funnel import FunnelConfig, run_funnel
 from claimkit.synthetic import funnel_corpus, holdout_corpus
@@ -59,3 +64,18 @@ def test_tracer_sees_every_funnel_stage(tmp_path):
     finally:
         tracer.uninstall()
     assert FUNNEL_STAGE_SPANS <= set(tracer.layer_table())
+
+
+@pytest.mark.parametrize("workload", ["funnel", "select", "score"])
+def test_benchmark_command_lines_parse(tmp_path, monkeypatch, workload):
+    # perfbench/workloads.py passes flags to `claimkit.cli.dispatch`; a flag
+    # removed from a command it runs would fail every benchmark pass.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    work = workloads.WORKLOADS[workload](1, tmp_path)
+    work.prepare()
+    work.judge_url = "http://127.0.0.1:9"
+    parser = build_parser()
+    for warm in (False, True):
+        for argv in work.argvs(tmp_path / "out", tmp_path / "cache", warm):
+            parser.parse_args(argv)
