@@ -7,31 +7,37 @@ stderr), 2 usage error; a flag that its command does not take is a usage
 error too. All output files are written atomically, and `funnel run` and
 `select`, the commands that take --seed, give byte-identical artifacts for
 any one seed.
+
+Each command makes every check and builds its backends before it opens its
+cache (`_open_cache`); `--dry-run` stops the same command there, so it
+rejects what the real run rejects, with the same error line, and writes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from pathlib import Path
 
-from .backends import DecodingParams, DiskCache, TransportError, ProtocolError
+from .backends import DiskCache, TransportError, ProtocolError
 from .corpus import ClaimRecord, IngestError, Label, atomic_write_text, ingest_claims, write_claims
 from .funnel import (
     FunnelConfig,
     FunnelReport,
     StageError,
+    allocate_budgets,
     decontaminate,
     dedup_minhash,
     dedup_semantic,
     run_funnel,
     select_stratified,
 )
+from .funnel.dedup import check_holdout
 from .funnel.run import SELECTORS
 # Unused here, but perfbench/tracing.py wraps these module-level names.
 from .backends import embed  # noqa: F401
-from .funnel import allocate_budgets, lazy_greedy  # noqa: F401
+from .funnel import lazy_greedy  # noqa: F401
 from .rewards import total_reward  # noqa: F401
 from .metrics import balanced_accuracy, stage_report_render
 from .rewards import (
@@ -39,6 +45,7 @@ from .rewards import (
     RewardBackends,
     SupervisionMode,
     Unlabeled,
+    check_rollouts,
     group_advantages,
     pseudo_label,
     score_rollouts,
@@ -49,6 +56,22 @@ from .wiring import build_embedding_backend, build_judge_backend
 
 class UsageError(ValueError):
     pass
+
+
+class _DryRunDone(Exception):
+    """A dry run reached its stop point: every check passed."""
+
+
+def _checks_passed(args) -> None:
+    """The one place a dry run stops: checks made, backends built, nothing written."""
+    if args.dry_run:
+        raise _DryRunDone
+
+
+def _open_cache(args, root: str | None = None) -> DiskCache:
+    """The command's cache, at root or --cache-dir; a dry run stops instead."""
+    _checks_passed(args)
+    return DiskCache(args.cache_dir if root is None else root)
 
 
 _SHARED_FLAGS = {
@@ -163,12 +186,7 @@ def _cmd_funnel_run(args) -> int:
         config.seed = args.seed
     if args.cache_dir is not None:
         config.cache_dir = args.cache_dir
-    if args.dry_run:
-        for path in list(config.inputs) + list(config.holdouts):
-            ingest_claims(path)
-        print("dry-run ok: config and inputs validated")
-        return 0
-    records, report = run_funnel(config)
+    records, report = run_funnel(config, open_cache=functools.partial(_open_cache, args))
     write_claims(records, args.out)
     atomic_write_text(args.report,
                       json.dumps(report.to_json_obj(), indent=2, sort_keys=True) + "\n")
@@ -185,12 +203,9 @@ def _cmd_funnel_report(args) -> int:
 
 def _cmd_dedup(args) -> int:
     records = ingest_claims(args.claims)
-    if args.dry_run:
-        print(f"dry-run ok: {len(records)} records parsed")
-        return 0
-    kept, _ = dedup_minhash(records)
     backend = build_embedding_backend(args.embedding)
-    with DiskCache(args.cache_dir) as cache:
+    with _open_cache(args) as cache:
+        kept, _ = dedup_minhash(records)
         kept, _ = dedup_semantic(kept, backend, cache)
     write_claims(kept, args.out)
     print(f"kept {len(kept)} of {len(records)} records")
@@ -200,11 +215,9 @@ def _cmd_dedup(args) -> int:
 def _cmd_decontaminate(args) -> int:
     records = ingest_claims(args.claims)
     holdout = ingest_claims(args.holdout)
-    if args.dry_run:
-        print(f"dry-run ok: {len(records)} train, {len(holdout)} holdout")
-        return 0
     backend = build_embedding_backend(args.embedding)
-    with DiskCache(args.cache_dir) as cache:
+    check_holdout(holdout)
+    with _open_cache(args) as cache:
         kept, _ = decontaminate(records, holdout, backend, cache)
     write_claims(kept, args.out)
     print(f"kept {len(kept)} of {len(records)} records")
@@ -213,11 +226,9 @@ def _cmd_decontaminate(args) -> int:
 
 def _cmd_select(args) -> int:
     records = ingest_claims(args.claims)
-    if args.dry_run:
-        print(f"dry-run ok: {len(records)} records parsed")
-        return 0
     backend = build_embedding_backend(args.embedding)
-    with DiskCache(args.cache_dir) as cache:
+    allocate_budgets(records, args.budget)  # select_stratified's budget check, made early
+    with _open_cache(args) as cache:
         selected = select_stratified(records, args.budget, args.strategy, args.seed,
                                      backend, cache)
     write_claims(selected, args.out)
@@ -228,11 +239,11 @@ def _cmd_select(args) -> int:
 def _score_rows(args, rollouts) -> list[dict]:
     """Output rows of (record, parsed trace, mode) rollouts, scored from one
     plan, fetched in one dispatch."""
-    with DiskCache(args.cache_dir) as cache:
-        bk = RewardBackends(judge=build_judge_backend(args.judge),
-                            embedding=build_embedding_backend(args.embedding),
-                            cache=cache, params=DecodingParams())
-        scored = score_rollouts(rollouts, bk)
+    judge = build_judge_backend(args.judge)
+    embedding = build_embedding_backend(args.embedding)
+    check_rollouts(rollouts)
+    with _open_cache(args) as cache:
+        scored = score_rollouts(rollouts, RewardBackends(judge, embedding, cache))
     return [b.to_json_obj(record.id) for b, (record, _, _) in zip(scored, rollouts)]
 
 
@@ -257,9 +268,6 @@ def _supervision(args, record: ClaimRecord, label_hat: Label | None = None) -> S
 
 def _cmd_score(args) -> int:
     rows, claims = _load_trace_rows(args)
-    if args.dry_run:
-        print(f"dry-run ok: {len(rows)} traces against {len(claims)} claims")
-        return 0
     rollouts = []
     for row in rows:
         record = claims[row["id"]]
@@ -275,9 +283,6 @@ def _cmd_score(args) -> int:
 
 def _cmd_score_group(args) -> int:
     rows, claims = _load_trace_rows(args)
-    if args.dry_run:
-        print(f"dry-run ok: {len(rows)} rollouts against {len(claims)} claims")
-        return 0
     groups: dict[str, list[dict]] = {}
     for row in rows:
         groups.setdefault(row["id"], []).append(row)
@@ -325,9 +330,7 @@ def _cmd_eval(args) -> int:
             raise UsageError(f"gold claim {row['id']!r} is unlabeled")
         preds.append(Label.from_string(row["pred"]))
         golds.append(rec.label)
-    if args.dry_run:
-        print(f"dry-run ok: {len(preds)} aligned predictions")
-        return 0
+    _checks_passed(args)
     print(f"{balanced_accuracy(preds, golds):.4f}")
     return 0
 
@@ -351,6 +354,9 @@ def dispatch(argv: list[str] | None = None) -> int:
     handler = _HANDLERS[key]
     try:
         return handler(args)
+    except _DryRunDone:
+        print("dry-run ok: every check passed; nothing written")
+        return 0
     except (UsageError, IngestError) as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 2

@@ -97,6 +97,12 @@ def dedup_semantic(
     return kept, removed
 
 
+def check_holdout(holdout: Sequence[ClaimRecord]) -> None:
+    """`decontaminate`'s check, which a caller may make before opening a cache."""
+    if not holdout:
+        raise ValueError("holdout must be non-empty")
+
+
 def decontaminate(
     train: Sequence[ClaimRecord],
     holdout: Sequence[ClaimRecord],
@@ -106,8 +112,7 @@ def decontaminate(
     """Remove train records that collide with any holdout record by exact
     shingle Jaccard >= 0.7 or claim-embedding cosine >= 0.90. The reason
     names the lowest-indexed colliding holdout record; Jaccard wins a tie."""
-    if not holdout:
-        raise ValueError("holdout must be non-empty")
+    check_holdout(holdout)
     if not train:
         return [], []
     train_shingles = [shingle_set(rec.claim) for rec in train]

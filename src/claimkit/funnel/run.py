@@ -13,7 +13,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ..backends import Cache, DecodingParams, DiskCache, EmbeddingBackend, embed
 from ..corpus import ClaimRecord, IngestError, ingest_claims
@@ -108,6 +108,8 @@ class FunnelReport:
 
 @dataclass
 class FunnelConfig:
+    """Funnel settings, checked when built; `backends` fills in the default specs."""
+
     inputs: list[str]
     holdouts: list[str]
     budget: int
@@ -115,13 +117,30 @@ class FunnelConfig:
     cache_dir: str = ".claimkit-cache"
     selector: str = "facility_location"
     thresholds: RuleThresholds = field(default_factory=RuleThresholds)
-    backends: dict[str, str] = field(default_factory=lambda: {
-        "judge": "mock", "embedding": "mock", "verifier": "mock",
-    })
+    backends: dict[str, str] = field(default_factory=dict)
     max_tokens: int = 4096
+
+    def __post_init__(self):
+        unknown = sorted(set(self.backends) - set(_BACKEND_KEYS))
+        if unknown:
+            raise ValueError(f"unknown backend {unknown[0]!r}")
+        ner = self.backends.get("ner", "heuristic")
+        if ner not in ("heuristic", "mock"):
+            raise ValueError(f"unsupported entity-counter spec {ner!r}")
+        self.backends = {"judge": "mock", "embedding": "mock", "verifier": "mock",
+                         **self.backends}
+        counts = (self.budget, self.seed, self.max_tokens)
+        if not all(_is_number(v) and (isinstance(v, int) or v.is_integer()) for v in counts):
+            raise ValueError("config budget, seed and max_tokens must be integers")
+        self.budget, self.seed, self.max_tokens = map(int, counts)
+        if self.selector not in SELECTORS:
+            raise ValueError(f"unknown selector {self.selector!r}")
+        if not self.inputs:
+            raise ValueError("config must name at least one input file")
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "FunnelConfig":
+        """A config from JSON, whose keys and value types are checked too."""
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
         if not isinstance(obj, dict):
@@ -132,9 +151,6 @@ class FunnelConfig:
         for key, kind in _CONFIG_SHAPES.items():
             if not isinstance(obj.get(key, kind()), kind):
                 raise ValueError(f"config {key!r} must be a JSON {_JSON_KINDS[kind]}")
-        unknown = sorted(set(obj.get("backends", {})) - set(_BACKEND_KEYS))
-        if unknown:
-            raise ValueError(f"unknown backend {unknown[0]!r}")
         unknown = sorted(set(obj.get("thresholds", {})) - {f.name for f in fields(RuleThresholds)})
         if unknown:
             raise ValueError(f"unknown threshold {unknown[0]!r}")
@@ -145,27 +161,14 @@ class FunnelConfig:
                  *obj.get("backends", {}).values()]
         if not all(isinstance(name, str) for name in names):
             raise ValueError("config file names and backend specs must be strings")
-        ner = obj.get("backends", {}).get("ner", "heuristic")
-        if ner not in ("heuristic", "mock"):
-            raise ValueError(f"unsupported entity-counter spec {ner!r}")
-        optional = ("seed", "cache_dir", "selector", "max_tokens")
-        cfg = cls(
+        optional = ("seed", "cache_dir", "selector", "backends", "max_tokens")
+        return cls(
             inputs=list(obj.get("inputs", [])),
             holdouts=list(obj.get("holdouts", [])),
             budget=obj.get("budget"),
             thresholds=RuleThresholds(**obj.get("thresholds", {})),
             **{name: obj[name] for name in optional if name in obj},
         )
-        counts = (cfg.budget, cfg.seed, cfg.max_tokens)
-        if not all(_is_number(v) and (isinstance(v, int) or v.is_integer()) for v in counts):
-            raise ValueError("config budget, seed and max_tokens must be integers")
-        cfg.budget, cfg.seed, cfg.max_tokens = map(int, counts)
-        cfg.backends.update(obj.get("backends", {}))
-        if cfg.selector not in SELECTORS:
-            raise ValueError(f"unknown selector {cfg.selector!r}")
-        if not cfg.inputs:
-            raise ValueError("config must name at least one input file")
-        return cfg
 
 
 def stage_seed(seed: int, stage: str) -> int:
@@ -226,22 +229,26 @@ def select_stratified(
     return [by_id[i] for i in selected_ids]
 
 
-def run_funnel(config: FunnelConfig) -> tuple[list[ClaimRecord], FunnelReport]:
+def run_funnel(config: FunnelConfig, open_cache: Callable[[str], DiskCache] = DiskCache
+               ) -> tuple[list[ClaimRecord], FunnelReport]:
     """Execute every curation stage in order and account for each record.
 
-    Each stage maps the pool to (kept, rejected). A stage that raises fails
-    the run with a `StageError` naming the stage; a `StageError` raised
-    inside a stage, such as a holdout ingest error, passes through as it is.
+    The backends are built and the inputs and holdouts loaded (an ingest
+    error is `StageError("ingest", ...)`) before `open_cache(cache_dir)`;
+    `funnel run --dry-run` stops there. A stage maps the pool to (kept,
+    rejected); one that raises fails the run with a `StageError` naming it.
     """
     judge = build_judge_backend(config.backends["judge"])
     embedding = build_embedding_backend(config.backends["embedding"])
     verifier = build_verifier_backend(config.backends["verifier"])
     params = DecodingParams(max_tokens=config.max_tokens)
+    pool = _load_inputs(config.inputs, "input")
+    holdout = _load_inputs(config.holdouts, "holdout")
 
     def decontaminate_stage(pool):
         if not config.holdouts:
             return list(pool), []
-        return decontaminate(pool, _load_inputs(config.holdouts, "holdout"), embedding, cache)
+        return decontaminate(pool, holdout, embedding, cache)
 
     def select_stage(pool):
         selected = select_stratified(pool, config.budget, config.selector, config.seed,
@@ -261,14 +268,11 @@ def run_funnel(config: FunnelConfig) -> tuple[list[ClaimRecord], FunnelReport]:
         ("select", select_stage),
     )
 
-    pool = _load_inputs(config.inputs, "input")
     report = FunnelReport()
-    with DiskCache(config.cache_dir) as cache:  # the stages above read `cache` when called
+    with open_cache(config.cache_dir) as cache:  # the stages above read `cache` when called
         for name, stage in stages:
             try:
                 kept, rejected = stage(pool)
-            except StageError:
-                raise
             except Exception as exc:
                 raise StageError(name, str(exc)) from exc
             report.add(name, len(pool), len(kept), rejected)

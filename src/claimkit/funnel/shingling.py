@@ -45,11 +45,10 @@ def exact_jaccard(a: frozenset[int], b: frozenset[int]) -> float:
 class MinHasher:
     """128 seeded universal-hash permutations h_i(x) = (a_i x + b_i) mod p."""
 
-    def __init__(self, seed: int = 1, num_permutations: int = NUM_PERMUTATIONS):
+    def __init__(self, seed: int = 1):
         rng = np.random.default_rng(seed)
-        self.num_permutations = num_permutations
-        self._a = rng.integers(1, _MERSENNE_PRIME, size=num_permutations, dtype=np.uint64)
-        self._b = rng.integers(0, _MERSENNE_PRIME, size=num_permutations, dtype=np.uint64)
+        self._a = rng.integers(1, _MERSENNE_PRIME, size=NUM_PERMUTATIONS, dtype=np.uint64)
+        self._b = rng.integers(0, _MERSENNE_PRIME, size=NUM_PERMUTATIONS, dtype=np.uint64)
 
     def signature(self, shingles: frozenset[int]) -> np.ndarray:
         if not shingles:

@@ -22,16 +22,15 @@ class HashEmbeddingBackend:
     """Unit vectors drawn from a per-text seeded gaussian. Identical text,
     identical vector; near-identical text, unrelated vector (no semantics)."""
 
-    def __init__(self, dim: int = 32, backend_id: str = "mock-embedding"):
-        self.dim = dim
-        self.backend_id = backend_id
+    DIM = 32
+    backend_id = "mock-embedding"
 
     def embed_texts(self, texts: list[str]) -> list[list[float]]:
         out = []
         for text in texts:
             rng = np.random.default_rng(_hash_int(text, salt="embed"))
-            vec = rng.standard_normal(self.dim)
-            vec /= np.linalg.norm(vec)
+            vec = rng.standard_normal(self.DIM)
+            vec /= np.sqrt(vec.dot(vec))  # what np.linalg.norm computes, without its wrapper
             out.append(vec.tolist())
         return out
 

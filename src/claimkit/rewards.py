@@ -413,16 +413,21 @@ def total_reward(
     return breakdown
 
 
-def score_rollouts(rollouts: Sequence[Rollout], bk: RewardBackends) -> list[RewardBreakdown]:
-    """`total_reward` of each parsed rollout, in order. Every rollout is
-    checked and planned first, and the plan is fetched in one dispatch,
-    unless bk already holds fetched data."""
+def check_rollouts(rollouts: Sequence[Rollout]) -> None:
+    """`score_rollouts`' check, which a caller may make before opening a cache."""
     for record, _, mode in rollouts:
         if record.silver_question_count is None:
             raise ValueError(f"record {record.id!r} has no silver_question_count; "
                              "question-count reward needs it")
         if isinstance(mode, Labeled) and mode.gold is None:
             raise ValueError("labeled mode requires a gold label")
+
+
+def score_rollouts(rollouts: Sequence[Rollout], bk: RewardBackends) -> list[RewardBreakdown]:
+    """`total_reward` of each parsed rollout, in order. Every rollout is
+    checked and planned first, and the plan is fetched in one dispatch,
+    unless bk already holds fetched data."""
+    check_rollouts(rollouts)
     if not isinstance(bk, _Fetched):
         plan = RewardPlan()
         for record, report, _ in rollouts:

@@ -61,9 +61,6 @@ class ParseReport:
     answers: list[str] = field(default_factory=list)
     verdict: Label | None = None
 
-    def condition_map(self) -> dict[str, bool]:
-        return dict(self.conditions)
-
     def satisfied_fraction(self) -> float:
         return sum(ok for _, ok in self.conditions) / len(self.conditions)
 

@@ -1,10 +1,10 @@
 """Backend construction from config specs.
 
 A spec is a string: "mock", "fixture:<path>", or a full "http://..." or
-"https://..." URL. Environment variables CLAIMKIT_JUDGE_ENDPOINT,
-CLAIMKIT_EMBEDDING_ENDPOINT, and CLAIMKIT_VERIFIER_ENDPOINT override the
-respective specs when set, so deployments can retarget without editing
-config files.
+"https://..." URL. A non-empty CLAIMKIT_JUDGE_ENDPOINT,
+CLAIMKIT_EMBEDDING_ENDPOINT or CLAIMKIT_VERIFIER_ENDPOINT replaces the
+respective spec and is parsed as one, so deployments can retarget without
+editing config files; a value that is not a spec fails when the backend is built.
 """
 
 from __future__ import annotations
@@ -24,27 +24,6 @@ from .backends import (
 )
 from .mock import HashEmbeddingBackend, HashJudgeBackend, HashVerifierBackend
 
-ENV_OVERRIDES = {
-    "judge": "CLAIMKIT_JUDGE_ENDPOINT",
-    "embedding": "CLAIMKIT_EMBEDDING_ENDPOINT",
-    "verifier": "CLAIMKIT_VERIFIER_ENDPOINT",
-}
-
-
-def _resolve(kind: str, spec: str) -> tuple[str, str]:
-    env = ENV_OVERRIDES[kind]
-    if os.environ.get(env):
-        return "http", os.environ[env]
-    if spec == "mock":
-        return "mock", ""
-    for scheme in ("fixture", "https", "http"):
-        if spec.startswith(scheme + ":"):
-            if scheme == "fixture":
-                return "fixture", spec.split(":", 1)[1]
-            return "http", spec
-    raise ValueError(f"unrecognized {kind} backend spec {spec!r}")
-
-
 # kind -> (mock, fixture, http) backend classes
 _BACKENDS = {
     "judge": (HashJudgeBackend, FixtureJudgeBackend, HttpJudgeBackend),
@@ -54,13 +33,15 @@ _BACKENDS = {
 
 
 def _build(kind: str, spec: str):
-    how, arg = _resolve(kind, spec)
+    spec = os.environ.get(f"CLAIMKIT_{kind.upper()}_ENDPOINT") or spec
     mock, fixture, http = _BACKENDS[kind]
-    if how == "mock":
+    if spec == "mock":
         return mock()
-    if how == "fixture":
-        return fixture(arg)
-    return http(arg)
+    if spec.startswith("fixture:"):
+        return fixture(spec.split(":", 1)[1])
+    if spec.startswith(("https:", "http:")):
+        return http(spec)
+    raise ValueError(f"unrecognized {kind} backend spec {spec!r}")
 
 
 def build_judge_backend(spec: str) -> JudgeBackend:

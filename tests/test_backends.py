@@ -1,6 +1,7 @@
 """Backend layer: templates, cache, judge plumbing, parsers, embeddings,
 difficulty scoring."""
 
+import hashlib
 import json
 import math
 import os
@@ -60,6 +61,7 @@ from claimkit.backends.transport import (
 )
 from claimkit.corpus import ClaimRecord, Label
 from claimkit.mock import HashEmbeddingBackend, HashJudgeBackend, HashVerifierBackend
+from claimkit.wiring import build_embedding_backend, build_judge_backend, build_verifier_backend
 
 
 class TestTemplates:
@@ -580,6 +582,17 @@ class TestEmbeddings:
         for _ in ("cold", "warm"):
             assert embed(mock_texts, mock, make_cache()).tobytes() == want.tobytes()
 
+    def test_mock_vectors_are_bytewise_the_linalg_norm_ones(self):
+        # The mock normalizes by sqrt(v . v), what np.linalg.norm computes for
+        # a 1-D vector; its vectors, and so every mock output, keep their bits.
+        texts = [f"claim number {i}" for i in range(2000)] + ["", "Zoë's café, 1921."]
+        for text, vector in zip(texts, HashEmbeddingBackend().embed_texts(texts)):
+            seed = int.from_bytes(hashlib.blake2b(("embed" + text).encode(), digest_size=8)
+                                  .digest(), "big")
+            want = np.random.default_rng(seed).standard_normal(32)
+            want /= np.linalg.norm(want)
+            assert np.asarray(vector).tobytes() == want.tobytes()
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_json_list_rows_of_an_older_cache_are_embedded_again_and_stay(self, tmp_path):
         texts = list(AWKWARD_VECTORS)
@@ -887,3 +900,38 @@ def test_misaligned_vectors_is_protocol_error(loopback):
     loopback.reply = (200, b'{"vectors": [[1.0], [2.0]]}')
     with pytest.raises(ProtocolError):
         HttpEmbeddingBackend(loopback.url).embed_texts(["only one"])
+
+
+# kind -> (builder, environment variable, mock, fixture and http backend classes)
+WIRED_BACKENDS = {
+    "judge": (build_judge_backend, "CLAIMKIT_JUDGE_ENDPOINT",
+              HashJudgeBackend, FixtureJudgeBackend, HttpJudgeBackend),
+    "embedding": (build_embedding_backend, "CLAIMKIT_EMBEDDING_ENDPOINT",
+                  HashEmbeddingBackend, FixtureEmbeddingBackend, HttpEmbeddingBackend),
+    "verifier": (build_verifier_backend, "CLAIMKIT_VERIFIER_ENDPOINT",
+                 HashVerifierBackend, FixtureVerifierBackend, HttpVerifierBackend),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WIRED_BACKENDS))
+def test_environment_override_is_parsed_as_a_spec(tmp_path, monkeypatch, kind):
+    # The variable replaces the spec, in any of its three forms; any other
+    # value fails when the backend is built, not at its first call.
+    build, env, mock, fixture, http = WIRED_BACKENDS[kind]
+    fixture_path = tmp_path / "fixture.jsonl"
+    fixture_path.write_text("")
+    monkeypatch.setenv(env, "")
+    assert type(build(f"fixture:{fixture_path}")) is fixture  # an empty value is unset
+    monkeypatch.setenv(env, "mock")
+    assert type(build("https://127.0.0.1:9/never")) is mock
+    monkeypatch.setenv(env, f"fixture:{fixture_path}")
+    assert type(build("mock")) is fixture
+    for url in ("http://127.0.0.1:9/x", "https://127.0.0.1:9/x"):
+        monkeypatch.setenv(env, url)
+        backend = build("mock")
+        assert type(backend) is http and backend.endpoint == url
+    for value in ("127.0.0.1:9", "Mock", "htp://x"):
+        monkeypatch.setenv(env, value)
+        with pytest.raises(ValueError) as err:
+            build("mock")
+        assert str(err.value) == f"unrecognized {kind} backend spec {value!r}"

@@ -7,6 +7,7 @@ import sqlite3
 import subprocess
 import sys
 from contextlib import closing
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -114,7 +115,7 @@ class TestFunnelCommands:
         cfg.write_text(json.dumps({"inputs": ["unread.jsonl"], "budget": 1, "seed": 3}))
         seen = []
 
-        def fake_run(config):
+        def fake_run(config, **_):
             seen.append(config.seed)
             return [], FunnelReport()
 
@@ -784,3 +785,102 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             dispatch(argv + flag)
         assert err.value.code == 2
+
+
+def _dry_run_case_argv(case, tmp_path, corpus_files, funnel_config, monkeypatch):
+    """argv, less --out and --cache-dir, of one command on one input."""
+    claims, hold = corpus_files
+    records = ingest_claims(claims)[:20]
+    write_claims(records, tmp_path / "few.jsonl")
+    few = str(tmp_path / "few.jsonl")
+    write_claims([rec.with_silver_count(2) for rec in records[:2]] + records[2:4],
+                 tmp_path / "scored.jsonl")
+    scored = str(tmp_path / "scored.jsonl")
+
+    def traces(*ids):
+        return _write_lines(tmp_path / "traces.jsonl", [json.dumps(
+            {"id": cid, "trace": VALID_TRACE.format(verdict="Supported")}) for cid in ids])
+
+    def funnel(**fields):
+        config = dict(json.loads(funnel_config.read_text()), **fields)
+        path = _write_lines(tmp_path / "cfg2.json", [json.dumps(config)])
+        return ["funnel", "run", "--config", path, "--report", str(tmp_path / "r.json")]
+
+    def unlabeled():
+        write_claims([replace(records[0].with_silver_count(2), label=None)],
+                     tmp_path / "unlabeled.jsonl")
+        return str(tmp_path / "unlabeled.jsonl")
+
+    def env(name, value, argv):
+        monkeypatch.setenv(name, value)
+        return argv
+
+    if case == "eval":
+        preds = _write_lines(tmp_path / "p.jsonl", [json.dumps(
+            {"id": rec.id, "pred": rec.label.value}) for rec in records])
+        return ["eval", "--preds", preds, "--gold", few]
+    if case in CACHE_COMMANDS:
+        return _cache_command_argv(case, tmp_path, corpus_files, funnel_config)
+    return {
+        "funnel duplicate id across inputs": lambda: funnel(inputs=[str(claims), str(claims)]),
+        "funnel bad embedding spec": lambda: funnel(backends={"embedding": "htp://x"}),
+        "funnel missing holdout": lambda: funnel(holdouts=[str(tmp_path / "missing.jsonl")]),
+        "select bad embedding spec": lambda: [
+            "select", "--claims", few, "--budget", "4", "--embedding", "bogus"],
+        "select budget over pool": lambda: ["select", "--claims", few, "--budget", "500"],
+        "select budget of 1": lambda: ["select", "--claims", few, "--budget", "1"],
+        "select bad env override": lambda: env(
+            "CLAIMKIT_EMBEDDING_ENDPOINT", "127.0.0.1:9",
+            ["select", "--claims", few, "--budget", "4"]),
+        "decontaminate empty holdout": lambda: [
+            "decontaminate", "--claims", few, "--holdout", _write_lines(tmp_path / "h.jsonl", [])],
+        "score labeled without gold": lambda: [
+            "score", "--claims", unlabeled(), "--traces", traces(records[0].id)],
+        "score without silver count": lambda: [
+            "score", "--claims", scored, "--traces", traces(records[0].id, records[2].id)],
+        "score-group of one rollout": lambda: [
+            "score-group", "--claims", scored,
+            "--traces", traces(records[0].id, records[0].id, records[1].id)],
+    }[case]()
+
+
+class TestDryRunParity:
+    """A dry run is the real command stopped just before it opens its cache:
+    it rejects what the real run rejects, with the same exit code and error
+    line, and neither it nor a rejected real run writes a file."""
+
+    @pytest.mark.parametrize("case, code", [
+        *[(command, 0) for command in (*CACHE_COMMANDS, "eval")],
+        ("funnel duplicate id across inputs", 1),
+        ("funnel bad embedding spec", 1),
+        ("funnel missing holdout", 1),
+        ("select bad embedding spec", 1),
+        ("select budget over pool", 1),
+        ("select budget of 1", 1),
+        ("select bad env override", 1),
+        ("decontaminate empty holdout", 1),
+        ("score labeled without gold", 2),
+        ("score without silver count", 1),
+        ("score-group of one rollout", 2),
+    ])
+    def test_dry_run_rejects_what_the_run_rejects(self, tmp_path, corpus_files, funnel_config,
+                                                  monkeypatch, capsys, case, code):
+        argv = _dry_run_case_argv(case, tmp_path, corpus_files, funnel_config, monkeypatch)
+        out, cache = tmp_path / "out.jsonl", tmp_path / "c"
+        if argv[0] != "eval":
+            argv += ["--out", str(out), "--cache-dir", str(cache)]
+        written = [out, cache, tmp_path / "r.json"]
+        capsys.readouterr()
+
+        assert dispatch(argv + ["--dry-run"]) == code
+        dry = capsys.readouterr()
+        assert not any(path.exists() for path in written)
+        assert dispatch(argv) == code
+        real = capsys.readouterr()
+        if code == 0:
+            assert dry.out == "dry-run ok: every check passed; nothing written\n"
+            assert dry.err == ""
+        else:
+            assert dry.err == real.err and len(real.err.splitlines()) == 1
+            assert real.err.startswith("error: ")
+            assert not any(path.exists() for path in written)

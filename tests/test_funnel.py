@@ -804,6 +804,52 @@ class TestRunFunnel:
             run_funnel(config)
         assert err.value.stage == "ingest"
 
+    def test_inputs_and_holdouts_load_before_the_cache_opens(self, tmp_path, monkeypatch):
+        # A bad holdout file fails the run before any cache or stage work, and
+        # the cache opener is called last, at the config's cache_dir.
+        ran, opened = [], []
+        monkeypatch.setattr("claimkit.funnel.run.rule_filter", lambda *args: ran.append(args))
+        config = self._config(tmp_path, holdouts=[str(tmp_path / "missing.jsonl")])
+        with pytest.raises(StageError, match="^stage ingest: holdout file: "):
+            run_funnel(config)
+        assert ran == [] and not (tmp_path / "cache").exists()
+
+        class Stop(Exception):
+            pass
+
+        def stop(root):
+            opened.append(root)
+            raise Stop
+
+        with pytest.raises(Stop):
+            run_funnel(self._config(tmp_path), open_cache=stop)
+        assert opened == [str(tmp_path / "cache")] and ran == []
+
+    def test_config_built_in_code_is_completed(self, tmp_path):
+        # A partial backends dict is merged into the defaults, as from a JSON
+        # file, so the run needs no key it was not given.
+        config = self._config(tmp_path, budget=10.0, backends={"embedding": "mock"})
+        assert config.backends == {"judge": "mock", "embedding": "mock", "verifier": "mock"}
+        assert config.budget == 10 and isinstance(config.budget, int)
+        _, report = run_funnel(config)
+        assert report.stages[-2].output_count == 10
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"selector": "kmeans"}, "unknown selector 'kmeans'"),
+        ({"inputs": []}, "config must name at least one input file"),
+        ({"budget": 2.5}, "config budget, seed and max_tokens must be integers"),
+        ({"seed": True}, "config budget, seed and max_tokens must be integers"),
+        ({"backends": {"embeding": "mock"}}, "unknown backend 'embeding'"),
+        ({"backends": {"ner": "http://127.0.0.1:9"}},
+         "unsupported entity-counter spec 'http://127.0.0.1:9'"),
+    ])
+    def test_config_built_in_code_is_checked_when_built(self, fields, message):
+        # These used to pass construction and fail inside run_funnel, some
+        # only after every stage but select had run.
+        with pytest.raises(ValueError) as err:
+            FunnelConfig(**{"inputs": ["claims.jsonl"], "holdouts": [], "budget": 10, **fields})
+        assert str(err.value) == message
+
     def test_selector_variants_run(self, tmp_path):
         for selector in ("random", "farthest_point"):
             config = self._config(tmp_path, selector=selector)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import claimkit
-from claimkit.cli import build_parser
+from claimkit.cli import build_parser, dispatch
 from claimkit.corpus import write_claims
 from claimkit.funnel import FunnelConfig, run_funnel
 from claimkit.synthetic import funnel_corpus, holdout_corpus
@@ -79,3 +79,17 @@ def test_benchmark_command_lines_parse(tmp_path, monkeypatch, workload):
     for warm in (False, True):
         for argv in work.argvs(tmp_path / "out", tmp_path / "cache", warm):
             parser.parse_args(argv)
+
+
+@pytest.mark.parametrize("workload", ["funnel", "select", "score"])
+def test_benchmark_inputs_pass_a_dry_run(tmp_path, monkeypatch, capsys, workload):
+    # A dry run makes every check of the real run, so a check that would
+    # reject the benchmark's own inputs fails here, not in the benchmark.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    work = workloads.WORKLOADS[workload](1, tmp_path)
+    work.prepare()
+    work.judge_url = "http://127.0.0.1:9"
+    for argv in work.argvs(tmp_path / "out", tmp_path / "cache", False):
+        assert dispatch(argv + ["--dry-run"]) == 0, capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "cache").exists()

@@ -66,7 +66,7 @@ class TestParse:
 
     def test_trailing_prose_costs_one_condition(self):
         report = parse_trace(VALID + "\nPS: extra commentary")
-        cmap = report.condition_map()
+        cmap = dict(report.conditions)
         assert not cmap["nothing_after_verdict"]
         assert report.satisfied_fraction() == 0.9
         assert report.trace is not None  # still reconstructable
@@ -75,7 +75,7 @@ class TestParse:
         text = ("<think>t</think><question>q?</question><answer>a</answer>"
                 "<verification>Refuted</verification>")
         report = parse_trace(text)
-        cmap = report.condition_map()
+        cmap = dict(report.conditions)
         assert not cmap["min_two_cycles"]
         assert report.trace is not None
         assert report.trace.verdict is Label.REFUTED
@@ -84,7 +84,7 @@ class TestParse:
         text = ("<question>q?</question><answer>a</answer>"
                 "<question>q2?</question><answer>b</answer>"
                 "<verification>Supported</verification>")
-        cmap = parse_trace(text).condition_map()
+        cmap = dict(parse_trace(text).conditions)
         assert not cmap["has_think"]
         assert not cmap["think_before_question"]
 
@@ -92,41 +92,41 @@ class TestParse:
         text = ("<think>t</think><question>q?</question>"
                 "<question>q2?</question><answer>a</answer>"
                 "<verification>Supported</verification>")
-        cmap = parse_trace(text).condition_map()
+        cmap = dict(parse_trace(text).conditions)
         assert not cmap["qa_counts_equal"]
         assert not cmap["qa_alternation"]
 
     def test_empty_answer_breaks_alternation(self):
         text = ("<think>t</think><question>q?</question><answer>  </answer>"
                 "<verification>Supported</verification>")
-        assert not parse_trace(text).condition_map()["qa_alternation"]
+        assert not dict(parse_trace(text).conditions)["qa_alternation"]
 
     def test_invalid_verdict_text(self):
         text = VALID.replace("Supported", "Probably")
         report = parse_trace(text)
-        assert not report.condition_map()["valid_verdict"]
+        assert not dict(report.conditions)["valid_verdict"]
         assert report.verdict is None
         assert report.raw_verdict_text == "Probably"
 
     def test_two_verification_blocks(self):
         text = VALID + "<verification>Refuted</verification>"
         report = parse_trace(text)
-        assert not report.condition_map()["one_verification"]
+        assert not dict(report.conditions)["one_verification"]
         assert report.verdict is None
 
     def test_stray_tag_breaks_nesting(self):
         report = parse_trace(VALID + "\n<answer>")
-        assert not report.condition_map()["well_nested"]
+        assert not dict(report.conditions)["well_nested"]
         assert report.trace is None
 
     def test_nested_tag_breaks_nesting(self):
         text = VALID.replace("Yes, to Paris.", "Yes <think>inner</think> indeed.")
-        assert not parse_trace(text).condition_map()["well_nested"]
+        assert not dict(parse_trace(text).conditions)["well_nested"]
 
     def test_unknown_tags_are_free_text(self):
         text = VALID.replace("analyze the claim", "analyze <sub>the</sub> claim")
         report = parse_trace(text)
-        assert report.condition_map()["well_nested"]
+        assert dict(report.conditions)["well_nested"]
         assert report.trace is not None
 
     def test_best_effort_extraction_on_malformed(self):
