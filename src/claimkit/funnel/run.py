@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Sequence
@@ -19,7 +20,7 @@ from ..backends import Cache, DecodingParams, DiskCache, EmbeddingBackend, embed
 from ..corpus import ClaimRecord, IngestError, ingest_claims
 from ..wiring import build_embedding_backend, build_judge_backend, build_verifier_backend
 from .budget import allocate_budgets
-from .dedup import decontaminate, dedup_minhash, dedup_semantic
+from .dedup import check_holdout, decontaminate, dedup_minhash, dedup_semantic
 from .select import alt_select, lazy_greedy
 from .stages import (
     RuleThresholds,
@@ -137,6 +138,10 @@ class FunnelConfig:
             raise ValueError(f"unknown selector {self.selector!r}")
         if not self.inputs:
             raise ValueError("config must name at least one input file")
+        names = (*self.inputs, *self.holdouts)
+        if not (all(isinstance(name, (str, os.PathLike)) for name in names)
+                and all(isinstance(spec, str) for spec in self.backends.values())):
+            raise ValueError("config file names and backend specs must be strings")
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "FunnelConfig":
@@ -157,10 +162,6 @@ class FunnelConfig:
         for name, value in sorted(obj.get("thresholds", {}).items()):
             if not _is_number(value):
                 raise ValueError(f"config threshold {name!r} must be a number")
-        names = [*obj.get("inputs", []), *obj.get("holdouts", []),
-                 *obj.get("backends", {}).values()]
-        if not all(isinstance(name, str) for name in names):
-            raise ValueError("config file names and backend specs must be strings")
         optional = ("seed", "cache_dir", "selector", "backends", "max_tokens")
         return cls(
             inputs=list(obj.get("inputs", [])),
@@ -233,8 +234,9 @@ def run_funnel(config: FunnelConfig, open_cache: Callable[[str], DiskCache] = Di
                ) -> tuple[list[ClaimRecord], FunnelReport]:
     """Execute every curation stage in order and account for each record.
 
-    The backends are built and the inputs and holdouts loaded (an ingest
-    error is `StageError("ingest", ...)`) before `open_cache(cache_dir)`;
+    The backends are built, the inputs and holdouts loaded (an ingest error
+    is `StageError("ingest", ...)`) and the holdouts checked before
+    `open_cache(cache_dir)`;
     `funnel run --dry-run` stops there. A stage maps the pool to (kept,
     rejected); one that raises fails the run with a `StageError` naming it.
     """
@@ -244,6 +246,11 @@ def run_funnel(config: FunnelConfig, open_cache: Callable[[str], DiskCache] = Di
     params = DecodingParams(max_tokens=config.max_tokens)
     pool = _load_inputs(config.inputs, "input")
     holdout = _load_inputs(config.holdouts, "holdout")
+    if config.holdouts:
+        try:
+            check_holdout(holdout)
+        except ValueError as exc:
+            raise StageError("decontaminate", str(exc)) from exc
 
     def decontaminate_stage(pool):
         if not config.holdouts:

@@ -22,7 +22,7 @@ from claimkit.backends.embeddings import EMBED_CHUNK
 from claimkit.cli import dispatch
 from claimkit.corpus import ClaimRecord, Label, ingest_claims, write_claims
 from claimkit.funnel import FunnelConfig, FunnelReport, RuleThresholds, rule_filter, silver_stage
-from claimkit.mock import HashEmbeddingBackend, HashJudgeBackend
+from claimkit.mock import HashEmbeddingBackend, HashJudgeBackend, HashVerifierBackend
 from claimkit.rewards import (
     Labeled,
     RewardBackends,
@@ -86,6 +86,25 @@ class TestFunnelCommands:
         assert code == 0
         text = capsys.readouterr().out
         assert "rule_filter" in text and "augment" in text
+
+    def test_empty_holdout_fails_before_any_backend_call(self, tmp_path, funnel_config,
+                                                         monkeypatch, capsys):
+        calls = []
+        for backend, method in ((HashEmbeddingBackend, "embed_texts"),
+                                (HashJudgeBackend, "generate"),
+                                (HashVerifierBackend, "probability_supported")):
+            monkeypatch.setattr(backend, method, lambda *args, method=method: calls.append(method))
+        config = dict(json.loads(funnel_config.read_text()),
+                      holdouts=[_write_lines(tmp_path / "h.jsonl", [])])
+        funnel_config.write_text(json.dumps(config))
+        argv = ["funnel", "run", "--config", str(funnel_config),
+                "--out", str(tmp_path / "out.jsonl"), "--report", str(tmp_path / "r.json")]
+        capsys.readouterr()
+        for dry_run in (["--dry-run"], []):
+            assert dispatch(argv + dry_run) == 1
+            assert capsys.readouterr().err == (
+                "error: stage decontaminate: holdout must be non-empty\n")
+        assert calls == [] and not (tmp_path / "cache").exists()
 
     def test_workers_byte_identical(self, tmp_path, funnel_config):
         outs = []
@@ -825,6 +844,7 @@ def _dry_run_case_argv(case, tmp_path, corpus_files, funnel_config, monkeypatch)
         "funnel duplicate id across inputs": lambda: funnel(inputs=[str(claims), str(claims)]),
         "funnel bad embedding spec": lambda: funnel(backends={"embedding": "htp://x"}),
         "funnel missing holdout": lambda: funnel(holdouts=[str(tmp_path / "missing.jsonl")]),
+        "funnel empty holdout": lambda: funnel(holdouts=[_write_lines(tmp_path / "h.jsonl", [])]),
         "select bad embedding spec": lambda: [
             "select", "--claims", few, "--budget", "4", "--embedding", "bogus"],
         "select budget over pool": lambda: ["select", "--claims", few, "--budget", "500"],
@@ -854,6 +874,7 @@ class TestDryRunParity:
         ("funnel duplicate id across inputs", 1),
         ("funnel bad embedding spec", 1),
         ("funnel missing holdout", 1),
+        ("funnel empty holdout", 1),
         ("select bad embedding spec", 1),
         ("select budget over pool", 1),
         ("select budget of 1", 1),

@@ -53,6 +53,7 @@ from claimkit.funnel import (
     silver_stage,
     stage_seed,
 )
+from claimkit.funnel import select
 from claimkit.funnel.stages import rule_violation
 from claimkit.mock import HashEmbeddingBackend, HashJudgeBackend
 from claimkit.synthetic import funnel_corpus, holdout_corpus
@@ -478,6 +479,34 @@ def planted_ties(rng, n, d):
     return X, ids
 
 
+def planted_near_ties(rng, n, d):
+    """planted_ties, and every fifth row from the third on copies an earlier
+    row with each coordinate moved by 1 to 4 ulp, so its gains come within a
+    few ulp of the copied row's."""
+    X, ids = planted_ties(rng, n, d)
+    for row in range(2, n, 5):
+        source = X[int(rng.integers(0, row))]
+        ulps = rng.integers(1, 5, size=d) * rng.choice([-1, 1], size=d)
+        X[row] = source + ulps * np.spacing(source)
+    return X, ids
+
+
+def select_benchmark_cells(monkeypatch, seed):
+    """{label: (ids, X)} of the select benchmark's two 1500 x 32 cells."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, inputs)  # its dataclasses look it up
+    spec.loader.exec_module(inputs)
+    pool = inputs.select_pool(seed, 1500)
+    cells = {}
+    for label in inputs.LABELS:
+        members = [r for r in pool if r["label"] == label]
+        cells[label] = ([r["id"] for r in members],
+                        embed([r["claim"] for r in members], HashEmbeddingBackend(), MemoryCache()))
+    return cells
+
+
 class TestSelectDifferential:
     """Row-reading, block-evaluated selection against the column-reading loops."""
 
@@ -515,18 +544,51 @@ class TestSelectDifferential:
     def test_similarity_matrix_is_bitwise_symmetric(self, monkeypatch):
         # The row reads stand in for column reads only because X @ X.T is
         # exactly symmetric; checked on the select benchmark's own embeddings.
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py")
-        inputs = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, inputs)  # its dataclasses look it up
-        spec.loader.exec_module(inputs)
-        pool = inputs.select_pool(811, 1500)
-        for label in inputs.LABELS:
-            claims = [r["claim"] for r in pool if r["label"] == label]
-            X = embed(claims, HashEmbeddingBackend(), MemoryCache())
+        for _, X in select_benchmark_cells(monkeypatch, 811).values():
             assert X.shape == (1500, 32)
             S = X @ X.T
             assert np.array_equal(S, S.T)
+
+    def test_greedy_matches_reference_through_near_ties(self):
+        # Exact ties and gains a few ulp apart are where an estimate that is
+        # off by more than the screen allows would commit the wrong row.
+        X, ids = planted_near_ties(np.random.default_rng(2024), 1500, 32)
+        expected = ref_lazy_greedy(X, 1500, ids)
+        # ref_naive_greedy takes about 20 s at k = n; a prefix anchors the heap
+        # reference, which matches it for every k at n <= 33 above.
+        assert ref_naive_greedy(X, 60, ids) == expected[:60]
+        for k in (1, 2, 33, 300, 750, 1499, 1500):
+            assert lazy_greedy(X, k, ids) == expected[:k]
+
+    def test_float32_rows_match_naive(self):
+        X, ids = planted_near_ties(np.random.default_rng(32), 400, 16)
+        X = X.astype(np.float32)
+        assert lazy_greedy(X, 400, ids) == naive_greedy(X, 400, ids)
+
+    def test_screen_keeps_every_winner_at_the_full_error_bound(self):
+        # Each estimate is off by the whole bound b in its worst direction:
+        # rows 1 and 2 tie for the largest gain, row 1 reads high and row 2
+        # low; row 3 trails by 2**-20 and reads high.
+        b = 0.25
+        gains = np.array([0.25, 1.0, 1.0, 1.0 - 2.0**-20])
+        est = gains + np.array([b, b, -b, b])
+        assert select._screen(est, b).tolist() == [1, 2, 3]
+
+    def test_exact_gain_rows_stay_within_n_plus_2k(self, monkeypatch):
+        # Exact gain rows are the work's regression signal on a noisy machine:
+        # n in round 0, then about one per pick.
+        gains, counted = select._gains, []
+
+        def counting_gains(S, rows, coverage):
+            counted.append(len(rows))
+            return gains(S, rows, coverage)
+
+        cells = select_benchmark_cells(monkeypatch, 1)
+        monkeypatch.setattr(select, "_gains", counting_gains)
+        for ids, X in cells.values():
+            counted.clear()
+            lazy_greedy(X, 300, ids)
+            assert 1500 <= sum(counted) <= 1500 + 2 * 300
 
 
 class TestStages:
@@ -842,6 +904,8 @@ class TestRunFunnel:
         ({"backends": {"embeding": "mock"}}, "unknown backend 'embeding'"),
         ({"backends": {"ner": "http://127.0.0.1:9"}},
          "unsupported entity-counter spec 'http://127.0.0.1:9'"),
+        ({"backends": {"judge": 5}}, "config file names and backend specs must be strings"),
+        ({"holdouts": [3]}, "config file names and backend specs must be strings"),
     ])
     def test_config_built_in_code_is_checked_when_built(self, fields, message):
         # These used to pass construction and fail inside run_funnel, some
@@ -861,6 +925,18 @@ class TestRunFunnel:
         assert stage_seed(3, "x") == stage_seed(3, "x")
         assert stage_seed(3, "x") != stage_seed(4, "x")
         assert stage_seed(3, "x") != stage_seed(3, "y")
+
+    def test_config_built_in_code_takes_path_file_names(self):
+        config = FunnelConfig(inputs=[Path("c.jsonl")], holdouts=[Path("h.jsonl")], budget=10)
+        assert config.inputs == [Path("c.jsonl")] and config.holdouts == [Path("h.jsonl")]
+
+    def test_config_file_backend_spec_must_be_a_string(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"inputs": ["x.jsonl"], "budget": 5,
+                                    "backends": {"judge": 5}}))
+        with pytest.raises(ValueError) as err:
+            FunnelConfig.from_json_file(path)
+        assert str(err.value) == "config file names and backend specs must be strings"
 
     def test_config_validation(self, tmp_path):
         path = tmp_path / "cfg.json"
