@@ -1,7 +1,7 @@
 """Prompt templates for the policy, the silver decomposer, and the judges.
 
 Bodies are fixed verbatim; callers fill the named {{slot}} markers through
-render_prompt, which refuses to emit a prompt with any marker left over.
+render_prompt, in one pass over the body, so slot text is copied as it is.
 """
 
 from __future__ import annotations
@@ -302,17 +302,12 @@ def template_slots(template_id: TemplateId) -> list[str]:
 
 
 def render_prompt(template_id: TemplateId, slots: dict[str, str]) -> str:
-    """Substitute every named slot; deterministic, no marker may remain."""
+    """Substitute every marker of the body in one pass; a `{{word}}` inside
+    slot text is never read as a marker, so it stays as written."""
     if template_id not in TEMPLATES:
         raise KeyError(f"unknown template_id: {template_id!r}")
     body = TEMPLATES[template_id]
-    needed = set(_SLOT.findall(body))
-    missing = needed - set(slots)
+    missing = set(_SLOT.findall(body)) - set(slots)
     if missing:
         raise KeyError(f"missing slot(s): {', '.join(sorted(missing))}")
-    for name in needed:
-        body = body.replace("{{" + name + "}}", str(slots[name]))
-    leftover = _SLOT.search(body)
-    if leftover:
-        raise ValueError(f"unsubstituted marker remains: {leftover.group(0)}")
-    return body
+    return _SLOT.sub(lambda m: str(slots[m.group(1)]), body)

@@ -16,6 +16,7 @@ rejects what the real run rejects, with the same error line, and writes nothing.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -162,8 +163,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_rows(path: str, fields: tuple[str, str]) -> list[dict]:
-    """JSONL rows, each an object with a string value for both fields."""
+def _load_rows(path: str, fields: tuple[str, str]) -> list[tuple[int, dict]]:
+    """(line number, row) for each JSONL row, each an object with a string
+    value for both fields."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -176,16 +178,14 @@ def _load_rows(path: str, fields: tuple[str, str]) -> list[dict]:
             if not (isinstance(row, dict) and all(isinstance(row.get(f), str) for f in fields)):
                 raise UsageError(f"{path} line {line_no}: rows need string "
                                  f"{fields[0]!r} and {fields[1]!r} fields")
-            rows.append(row)
+            rows.append((line_no, row))
     return rows
 
 
 def _cmd_funnel_run(args) -> int:
-    config = FunnelConfig.from_json_file(args.config)
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.cache_dir is not None:
-        config.cache_dir = args.cache_dir
+    overrides = {"seed": args.seed, "cache_dir": args.cache_dir}
+    config = dataclasses.replace(FunnelConfig.from_json_file(args.config),
+                                 **{k: v for k, v in overrides.items() if v is not None})
     records, report = run_funnel(config, open_cache=functools.partial(_open_cache, args))
     write_claims(records, args.out)
     atomic_write_text(args.report,
@@ -248,7 +248,7 @@ def _score_rows(args, rollouts) -> list[dict]:
 
 
 def _load_trace_rows(args) -> tuple[list[dict], dict[str, ClaimRecord]]:
-    rows = _load_rows(args.traces, ("id", "trace"))
+    rows = [row for _, row in _load_rows(args.traces, ("id", "trace"))]
     claims = {rec.id: rec for rec in ingest_claims(args.claims)}
     for row in rows:
         if row["id"] not in claims:
@@ -322,13 +322,16 @@ def _cmd_eval(args) -> int:
     preds_rows = _load_rows(args.preds, ("id", "pred"))
     gold = {rec.id: rec for rec in ingest_claims(args.gold)}
     preds, golds = [], []
-    for row in preds_rows:
+    for line_no, row in preds_rows:
         rec = gold.get(row["id"])
         if rec is None:
             raise UsageError(f"prediction id {row['id']!r} not in gold file")
         if rec.label is None:
             raise UsageError(f"gold claim {row['id']!r} is unlabeled")
-        preds.append(Label.from_string(row["pred"]))
+        try:
+            preds.append(Label.from_string(row["pred"]))
+        except ValueError as exc:
+            raise UsageError(f"{args.preds} line {line_no}: {exc}") from None
         golds.append(rec.label)
     _checks_passed(args)
     print(f"{balanced_accuracy(preds, golds):.4f}")

@@ -26,6 +26,7 @@ from .stages import (
     RuleThresholds,
     StageError,
     difficulty_filter,
+    is_number,
     long_evidence_augment,
     rule_filter,
     silver_stage,
@@ -33,19 +34,13 @@ from .stages import (
 
 SELECTORS = ("facility_location", "farthest_point", "random")
 
-# Config keys whose value must have one JSON type; numbers are checked
-# separately.
-_CONFIG_SHAPES = {"inputs": list, "holdouts": list, "thresholds": dict, "backends": dict,
-                  "cache_dir": str}
-_JSON_KINDS = {list: "array", dict: "object", str: "string"}
 # "ner" selects nothing: the one entity counter is `corpus.entity_spans`.
 # The key stays accepted, as "heuristic" or "mock", so existing configs load.
 _BACKEND_KEYS = ("judge", "embedding", "verifier", "ner")
 
 
-def _is_number(value) -> bool:
-    """A JSON number: an int or a float, but not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_count(n) -> bool:
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 0
 
 
 @dataclass
@@ -78,6 +73,9 @@ class FunnelReport:
         self.stages.append(StageReport(name, input_count, output_count, histogram))
 
     def validate_chain(self) -> None:
+        """Raise ValueError unless each stage takes the previous one's output,
+        no stage but augment grows, and a stage's rejections account for
+        every record it removed."""
         for prev, cur in zip(self.stages, self.stages[1:]):
             if cur.input_count != prev.output_count:
                 raise ValueError(
@@ -90,26 +88,40 @@ class FunnelReport:
                     f"stage {stage.name!r} grew its input ({stage.input_count} -> "
                     f"{stage.output_count})"
                 )
+            rejected = sum(stage.rejections.values())
+            if (stage.name != "augment" and stage.rejections
+                    and stage.input_count - rejected != stage.output_count):
+                raise ValueError(
+                    f"stage {stage.name!r}: input {stage.input_count} minus "
+                    f"{rejected} rejections != output {stage.output_count}"
+                )
 
     def to_json_obj(self) -> dict:
         return {"stages": [s.to_json_obj() for s in self.stages]}
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "FunnelReport":
+    def from_json_obj(cls, obj) -> "FunnelReport":
+        """A report from its JSON form; one of another shape raises ValueError."""
+        stages = obj.get("stages") if isinstance(obj, dict) else None
+        if not isinstance(stages, list):
+            raise ValueError("report is not a JSON object with a 'stages' array")
         report = cls()
-        for s in obj["stages"]:
-            report.stages.append(StageReport(
-                name=s["name"],
-                input_count=s["input_count"],
-                output_count=s["output_count"],
-                rejections=dict(s.get("rejections", {})),
-            ))
+        for i, s in enumerate(stages):
+            rejections = s.get("rejections", {}) if isinstance(s, dict) else None
+            if not (isinstance(rejections, dict) and isinstance(s.get("name"), str)
+                    and all(map(_is_count, (s.get("input_count"), s.get("output_count"),
+                                            *rejections.values())))):
+                raise ValueError(f"report stage {i} needs a string 'name' and counts "
+                                 "that are whole numbers")
+            report.stages.append(StageReport(s["name"], s["input_count"], s["output_count"],
+                                             dict(rejections)))
         return report
 
 
 @dataclass
 class FunnelConfig:
-    """Funnel settings, checked when built; `backends` fills in the default specs."""
+    """Funnel settings, every value checked when built, whether in code or by
+    `from_json_file`; `backends` fills in the default specs."""
 
     inputs: list[str]
     holdouts: list[str]
@@ -122,7 +134,9 @@ class FunnelConfig:
     max_tokens: int = 4096
 
     def __post_init__(self):
-        unknown = sorted(set(self.backends) - set(_BACKEND_KEYS))
+        if not isinstance(self.backends, dict):
+            raise ValueError("config backends must map backend names to string specs")
+        unknown = sorted(set(self.backends) - set(_BACKEND_KEYS), key=str)
         if unknown:
             raise ValueError(f"unknown backend {unknown[0]!r}")
         ner = self.backends.get("ner", "heuristic")
@@ -131,21 +145,25 @@ class FunnelConfig:
         self.backends = {"judge": "mock", "embedding": "mock", "verifier": "mock",
                          **self.backends}
         counts = (self.budget, self.seed, self.max_tokens)
-        if not all(_is_number(v) and (isinstance(v, int) or v.is_integer()) for v in counts):
+        if not all(is_number(v) and (isinstance(v, int) or v.is_integer()) for v in counts):
             raise ValueError("config budget, seed and max_tokens must be integers")
         self.budget, self.seed, self.max_tokens = map(int, counts)
         if self.selector not in SELECTORS:
             raise ValueError(f"unknown selector {self.selector!r}")
+        if not (isinstance(self.inputs, list) and isinstance(self.holdouts, list)):
+            raise ValueError("config inputs and holdouts must be lists of file names")
         if not self.inputs:
             raise ValueError("config must name at least one input file")
-        names = (*self.inputs, *self.holdouts)
+        names = (*self.inputs, *self.holdouts, self.cache_dir)
         if not (all(isinstance(name, (str, os.PathLike)) for name in names)
                 and all(isinstance(spec, str) for spec in self.backends.values())):
             raise ValueError("config file names and backend specs must be strings")
+        if not isinstance(self.thresholds, RuleThresholds):
+            raise ValueError("config thresholds must be a RuleThresholds (in JSON, an object)")
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "FunnelConfig":
-        """A config from JSON, whose keys and value types are checked too."""
+        """A config from a JSON object; its values are checked by the constructors."""
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
         if not isinstance(obj, dict):
@@ -153,23 +171,14 @@ class FunnelConfig:
         unknown = sorted(set(obj) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config key {unknown[0]!r}")
-        for key, kind in _CONFIG_SHAPES.items():
-            if not isinstance(obj.get(key, kind()), kind):
-                raise ValueError(f"config {key!r} must be a JSON {_JSON_KINDS[kind]}")
-        unknown = sorted(set(obj.get("thresholds", {})) - {f.name for f in fields(RuleThresholds)})
-        if unknown:
-            raise ValueError(f"unknown threshold {unknown[0]!r}")
-        for name, value in sorted(obj.get("thresholds", {}).items()):
-            if not _is_number(value):
-                raise ValueError(f"config threshold {name!r} must be a number")
-        optional = ("seed", "cache_dir", "selector", "backends", "max_tokens")
-        return cls(
-            inputs=list(obj.get("inputs", [])),
-            holdouts=list(obj.get("holdouts", [])),
-            budget=obj.get("budget"),
-            thresholds=RuleThresholds(**obj.get("thresholds", {})),
-            **{name: obj[name] for name in optional if name in obj},
-        )
+        thresholds = obj.get("thresholds", {})
+        if isinstance(thresholds, dict):
+            unknown = sorted(set(thresholds) - {f.name for f in fields(RuleThresholds)})
+            if unknown:
+                raise ValueError(f"unknown threshold {unknown[0]!r}")
+            thresholds = RuleThresholds(**thresholds)
+        return cls(**{"inputs": [], "holdouts": [], "budget": None, **obj,
+                      "thresholds": thresholds})
 
 
 def stage_seed(seed: int, stage: str) -> int:

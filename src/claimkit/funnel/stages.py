@@ -3,7 +3,7 @@ and the long-evidence augmentation pass."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 from ..backends import (
@@ -32,6 +32,11 @@ DIFFICULTY_BAND = (0.3, 0.8)
 LONG_EVIDENCE_TOKENS = 3000
 
 
+def is_number(value) -> bool:
+    """A JSON number: an int or a float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 class StageError(RuntimeError):
     """A funnel stage failed; carries the stage name for the CLI error line."""
 
@@ -47,6 +52,11 @@ class RuleThresholds:
     max_evidence_tokens: int = 10000
     max_lexical_overlap: float = 0.9
     min_entities: int = 2
+
+    def __post_init__(self):
+        for f in fields(self):
+            if not is_number(getattr(self, f.name)):
+                raise ValueError(f"config threshold {f.name!r} must be a number")
 
 
 def rule_violation(record: ClaimRecord, thresholds: RuleThresholds) -> str | None:

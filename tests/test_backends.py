@@ -21,6 +21,7 @@ import pytest
 from conftest import CACHE_FAULTS, break_cache
 
 from claimkit.backends import (
+    CacheRecordError,
     DecodingParams,
     DiskCache,
     FixtureEmbeddingBackend,
@@ -78,6 +79,17 @@ class TestTemplates:
                             {"answers": "1. yes", "claim": "the claim"})
         assert "1. yes" in out and "the claim" in out
         assert "{{" not in out
+
+    @pytest.mark.parametrize("slots", [
+        {"evidence_doc": "see {{claim}} here", "claim": "X is Y"},
+        {"evidence_doc": "Paris{{cite web|url=x}} is {{cite}}", "claim": "a {{claim}} b"},
+    ])
+    def test_marker_in_slot_text_renders_literally(self, slots):
+        # Slot by slot, a marker in one slot's text was filled by a later
+        # slot or left over, by set order; a Wikipedia {{cite}} then raised.
+        out = render_prompt(TemplateId.TRACE_GEN, slots)
+        assert f"<evidence_document>\n{slots['evidence_doc']}\n</evidence_document>" in out
+        assert f"<claim>\n{slots['claim']}\n</claim>" in out
 
     def test_missing_slot_named(self):
         with pytest.raises(KeyError) as err:
@@ -697,15 +709,35 @@ class TestDifficulty:
         with pytest.raises(ValueError):
             difficulty_score(self._record(None), HashVerifierBackend(), MemoryCache())
 
+    class Replying:
+        backend_id = "replying"
+
+        def __init__(self, reply):
+            self.reply = reply
+
+        def probability_supported(self, claim, evidence):
+            return self.reply
+
     def test_out_of_range_probability_rejected(self):
-        class Bad:
-            backend_id = "bad"
+        with pytest.raises(ProtocolError):
+            difficulty_score(self._record(Label.SUPPORTED), self.Replying(1.5), MemoryCache())
 
-            def probability_supported(self, claim, evidence):
-                return 1.5
+    @pytest.mark.parametrize("reply", [1.5, -0.1, True, "0.5", None, float("nan")])
+    def test_reply_not_a_probability_is_not_stored(self, reply):
+        # It used to be stored first, so that every rerun failed on it.
+        rec, cache = self._record(Label.SUPPORTED), MemoryCache()
+        with pytest.raises(ProtocolError, match="^verifier p_supported is "):
+            difficulty_score(rec, self.Replying(reply), cache)
+        assert difficulty_score(rec, self.Replying(0.25), cache) == 0.25
 
-        with pytest.raises(ValueError):
-            difficulty_score(self._record(Label.SUPPORTED), Bad(), MemoryCache())
+    @pytest.mark.parametrize("stored", [{}, {"p_supported": "0.5"}, {"p_supported": 1.5},
+                                        {"p_supported": None}, {"p_supported": False}])
+    def test_stored_record_without_a_probability_is_a_cache_record_error(self, stored):
+        rec, cache = self._record(Label.SUPPORTED), MemoryCache()
+        cache.put(cache_key("difficulty", rec.claim + "\x00" + rec.evidence_text(),
+                            HashVerifierBackend.backend_id), stored)
+        with pytest.raises(CacheRecordError, match="^cache: a stored difficulty record "):
+            difficulty_score(rec, HashVerifierBackend(), cache)
 
     def test_fixture_verifier(self, tmp_path):
         path = tmp_path / "p.jsonl"

@@ -167,6 +167,26 @@ class TestFunnelCommands:
         assert code == 0
         assert not out.exists()
 
+    @pytest.mark.parametrize("body, line", [
+        ({}, "error: report is not a JSON object with a 'stages' array"),
+        ([], "error: report is not a JSON object with a 'stages' array"),
+        ({"stages": [5]}, "error: report stage 0 needs a string 'name' and counts that are "
+                          "whole numbers"),
+        ({"stages": [{"name": "a", "input_count": 5, "output_count": 5},
+                     {"name": "b", "output_count": 3}]},
+         "error: report stage 1 needs a string 'name' and counts that are whole numbers"),
+        ({"stages": [{"name": "a", "input_count": "5", "output_count": 3}]},
+         "error: report stage 0 needs a string 'name' and counts that are whole numbers"),
+        ({"stages": [{"name": "a", "input_count": 5, "output_count": 3,
+                      "rejections": {"too-short": 1}}]},
+         "error: stage 'a': input 5 minus 1 rejections != output 3"),
+    ])
+    def test_malformed_report_is_one_error_line(self, tmp_path, capsys, body, line):
+        report = tmp_path / "r.json"
+        report.write_text(json.dumps(body))
+        assert dispatch(["funnel", "report", "--report", str(report)]) == 1
+        assert capsys.readouterr().err.splitlines() == [line]
+
     def test_missing_config_is_failure(self, tmp_path):
         code = dispatch(["funnel", "run", "--config", str(tmp_path / "nope.json"),
                          "--out", "o", "--report", "r"])
@@ -631,6 +651,10 @@ def _malformed_argv(case, tmp_path, claims):
         "pred not a string": lambda: [
             "eval", "--gold", str(claims),
             "--preds", _write_lines(tmp_path / "p.jsonl", [json.dumps({"id": first, "pred": 1})])],
+        "pred not a verdict label": lambda: [
+            "eval", "--gold", str(claims), "--preds", _write_lines(tmp_path / "p.jsonl", [
+                json.dumps({"id": first, "pred": "Supported"}), "",
+                json.dumps({"id": first, "pred": "maybe"})])],
         "unknown threshold": lambda: funnel(dict(config, thresholds={"min_passage": 3})),
         "thresholds not an object": lambda: funnel(dict(config, thresholds=[3])),
         "config not an object": lambda: funnel([config]),
@@ -706,6 +730,8 @@ class TestMalformedInput:
         ("unknown backend", 1, "error: unknown backend 'embeding'"),
         ("ner spec not the built-in counter", 1,
          "error: unsupported entity-counter spec 'http://127.0.0.1:9/never'"),
+        ("pred not a verdict label", 2,
+         "error: usage: {tmp}/p.jsonl line 3: not a 2-way verdict label: 'maybe'"),
     ])
     def test_error_line_names_the_fault(self, tmp_path, corpus_files, capsys, case, code, line):
         # Config values are checked before any stage runs, and a claims

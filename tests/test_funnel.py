@@ -49,6 +49,7 @@ from claimkit.funnel import (
     naive_greedy,
     rule_filter,
     run_funnel,
+    select_stratified,
     shingle_set,
     silver_stage,
     stage_seed,
@@ -409,6 +410,26 @@ class TestBudgets:
         pool = [rec("u", "c", label=None), rec("v", "c2", label=None)]
         with pytest.raises(ValueError):
             allocate_budgets(pool, 2)
+
+
+def test_select_stratified_skips_a_cell_without_a_share():
+    # Supported's one unit goes by sqrt population, 3 to 1, to "big"; the
+    # "tiny" cell's share is 0, so it is neither embedded nor selected.
+    pool = ([rec(f"s{i}", f"supported claim {i}", source="big") for i in range(9)]
+            + [rec("t0", "tiny claim", source="tiny")]
+            + [rec(f"r{i}", f"refuted claim {i}", source="big", label=Label.REFUTED)
+               for i in range(9)])
+    assert allocate_budgets(pool, 2).for_cell(Label.SUPPORTED, "tiny") == 0
+    embedded = []
+
+    class Recording(HashEmbeddingBackend):
+        def embed_texts(self, texts):
+            embedded.extend(texts)
+            return super().embed_texts(texts)
+
+    selected = select_stratified(pool, 2, "facility_location", 0, Recording(), MemoryCache())
+    assert len(selected) == 2 and {r.source for r in selected} == {"big"}
+    assert "tiny claim" not in embedded and len(embedded) == 18
 
 
 def random_unit_rows(rng, n, d, nonnegative=False):
@@ -802,6 +823,35 @@ class TestReport:
         assert back.stages[0].rejections == {"why": 1}
 
 
+_COUNTS = "config budget, seed and max_tokens must be integers"
+_NAMES = "config file names and backend specs must be strings"
+_LISTS = "config inputs and holdouts must be lists of file names"
+
+# (config fields as a JSON file would hold them, the one ValueError message)
+CONFIG_FAULTS = [
+    ({"inputs": "claims.jsonl"}, _LISTS),
+    ({"inputs": 5}, _LISTS),
+    ({"holdouts": "holdout.jsonl"}, _LISTS),
+    ({"inputs": []}, "config must name at least one input file"),
+    ({"inputs": [3]}, _NAMES),
+    ({"holdouts": [None]}, _NAMES),
+    ({"cache_dir": 5}, _NAMES),
+    ({"backends": "mock"}, "config backends must map backend names to string specs"),
+    ({"backends": {"judge": 5}}, _NAMES),
+    ({"backends": {"embeding": "mock"}}, "unknown backend 'embeding'"),
+    ({"backends": {"ner": "http://127.0.0.1:9"}},
+     "unsupported entity-counter spec 'http://127.0.0.1:9'"),
+    ({"budget": 2.5}, _COUNTS),
+    ({"budget": None}, _COUNTS),
+    ({"seed": "3"}, _COUNTS),
+    ({"max_tokens": True}, _COUNTS),
+    ({"selector": "kmeans"}, "unknown selector 'kmeans'"),
+    ({"thresholds": [3]}, "config thresholds must be a RuleThresholds (in JSON, an object)"),
+    ({"thresholds": {"min_passages": "3"}}, "config threshold 'min_passages' must be a number"),
+    ({"thresholds": {"min_entities": True}}, "config threshold 'min_entities' must be a number"),
+]
+
+
 @functools.cache
 def _funnel_corpus():
     # Generated once and only read: generating it dominates these tests' setup.
@@ -913,6 +963,54 @@ class TestRunFunnel:
         with pytest.raises(ValueError) as err:
             FunnelConfig(**{"inputs": ["claims.jsonl"], "holdouts": [], "budget": 10, **fields})
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("fields, message", CONFIG_FAULTS)
+    @pytest.mark.parametrize("source", ["code", "json"])
+    def test_config_fault_has_one_message_from_code_and_json(self, tmp_path, source,
+                                                              fields, message):
+        # One check path: a fault a config file can hold is rejected by the
+        # constructors, with one message, however the config is built.
+        fields = {"inputs": ["claims.jsonl"], "holdouts": [], "budget": 10, **fields}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(fields))
+
+        def build():
+            if source == "json":
+                return FunnelConfig.from_json_file(path)
+            thresholds = fields.get("thresholds", {})
+            if isinstance(thresholds, dict):  # what a file's thresholds object becomes
+                thresholds = RuleThresholds(**thresholds)
+            return FunnelConfig(**{**fields, "thresholds": thresholds})
+
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: FunnelConfig(inputs=["c.jsonl"], holdouts=[], budget=10,
+                              thresholds={"min_passages": 3}),
+         "config thresholds must be a RuleThresholds (in JSON, an object)"),
+        (lambda: RuleThresholds(min_passages="3"),
+         "config threshold 'min_passages' must be a number"),
+        (lambda: RuleThresholds(max_lexical_overlap=None),
+         "config threshold 'max_lexical_overlap' must be a number"),
+        (lambda: FunnelConfig(inputs=["c.jsonl"], holdouts=[], budget=10,
+                              backends={1: "mock", "judge": "mock", "x": "mock"}),
+         "unknown backend 1"),
+    ])
+    def test_code_only_config_faults_fail_when_built(self, build, message):
+        # A dict where a RuleThresholds belongs, or a string threshold, used
+        # to pass construction and fail inside rule_filter; a backend name
+        # that is not a string raised TypeError.
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
+    def test_run_without_holdouts_keeps_every_record_at_decontaminate(self, tmp_path):
+        _, report = run_funnel(self._config(tmp_path, holdouts=[]))
+        stage = next(s for s in report.stages if s.name == "decontaminate")
+        assert stage.output_count == stage.input_count > 0 and stage.rejections == {}
+        assert report.stages[-2].output_count == 10
 
     def test_selector_variants_run(self, tmp_path):
         for selector in ("random", "farthest_point"):
