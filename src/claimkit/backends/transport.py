@@ -17,6 +17,7 @@ from concurrent.futures import ThreadPoolExecutor, as_completed
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
+from ..corpus import IngestError, read_jsonl
 from .cache import Cache, prompt_digest
 
 RETRIES = 2  # extra attempts after a connection error, a 429 or a 5xx reply
@@ -130,7 +131,8 @@ class FixtureBackend:
 
     The digest is `prompt_digest` of the text a backend is asked about. A
     missing digest is treated as an unreachable backend, so records are
-    never silently passed.
+    never silently passed. A malformed row raises IngestError naming the
+    file and its line.
     """
 
     FIELD: str
@@ -138,16 +140,12 @@ class FixtureBackend:
     def __init__(self, path: str | Path):
         self.backend_id = f"fixture:{Path(path).name}"
         self._table: dict[str, Any] = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                    self._table[obj["digest"]] = obj[self.FIELD]
-                except (ValueError, TypeError, KeyError):  # not JSON, not an object, no field
-                    raise ValueError(f"{path} line {line_no}: fixture rows need "
-                                     f"'digest' and {self.FIELD!r}") from None
+        for line_no, obj in read_jsonl(path):
+            try:
+                self._table[obj["digest"]] = obj[self.FIELD]
+            except (TypeError, KeyError):  # an unhashable digest, or no field
+                raise IngestError(path, line_no, "fixture rows need "
+                                  f"'digest' and {self.FIELD!r}") from None
 
     def _lookup(self, text: str) -> Any:
         digest = prompt_digest(text)

@@ -22,7 +22,8 @@ import json
 import sys
 
 from .backends import DiskCache, TransportError, ProtocolError
-from .corpus import ClaimRecord, IngestError, Label, atomic_write_text, ingest_claims, write_claims
+from .corpus import (ClaimRecord, IngestError, Label, atomic_write_text, ingest_claims,
+                     read_json, read_jsonl, write_claims)
 from .funnel import (
     FunnelConfig,
     FunnelReport,
@@ -53,10 +54,6 @@ from .rewards import (
 )
 from .trace import parse_trace
 from .wiring import build_embedding_backend, build_judge_backend
-
-
-class UsageError(ValueError):
-    pass
 
 
 class _DryRunDone(Exception):
@@ -163,23 +160,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_rows(path: str, fields: tuple[str, str]) -> list[tuple[int, dict]]:
-    """(line number, row) for each JSONL row, each an object with a string
-    value for both fields."""
+def _join_claims(path: str, field: str, claims_path: str
+                 ) -> list[tuple[int, str, ClaimRecord]]:
+    """(line number, `field` value, claim record) for each row of a JSONL
+    file of string 'id' and `field` values, in file order. The rows file is
+    read first, then the claims file; an id not in it is an IngestError."""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise UsageError(f"{path} line {line_no}: invalid JSON: {exc}") from exc
-            if not (isinstance(row, dict) and all(isinstance(row.get(f), str) for f in fields)):
-                raise UsageError(f"{path} line {line_no}: rows need string "
-                                 f"{fields[0]!r} and {fields[1]!r} fields")
-            rows.append((line_no, row))
-    return rows
+    for line_no, row in read_jsonl(path):
+        if not (isinstance(row.get("id"), str) and isinstance(row.get(field), str)):
+            raise IngestError(path, line_no, f"rows need string 'id' and {field!r} fields")
+        rows.append((line_no, row["id"], row[field]))
+    claims = {rec.id: rec for rec in ingest_claims(claims_path)}
+    for line_no, rid, _ in rows:
+        if rid not in claims:
+            raise IngestError(path, line_no, f"id {rid!r} is not in {claims_path}")
+    return [(line_no, value, claims[rid]) for line_no, rid, value in rows]
 
 
 def _cmd_funnel_run(args) -> int:
@@ -195,8 +190,7 @@ def _cmd_funnel_run(args) -> int:
 
 
 def _cmd_funnel_report(args) -> int:
-    with open(args.report, "r", encoding="utf-8") as fh:
-        report = FunnelReport.from_json_obj(json.load(fh))
+    report = FunnelReport.from_json_obj(read_json(args.report))
     print(stage_report_render(report, fmt=args.format))
     return 0
 
@@ -247,32 +241,20 @@ def _score_rows(args, rollouts) -> list[dict]:
     return [b.to_json_obj(record.id) for b, (record, _, _) in zip(scored, rollouts)]
 
 
-def _load_trace_rows(args) -> tuple[list[dict], dict[str, ClaimRecord]]:
-    rows = [row for _, row in _load_rows(args.traces, ("id", "trace"))]
-    claims = {rec.id: rec for rec in ingest_claims(args.claims)}
-    for row in rows:
-        if row["id"] not in claims:
-            raise UsageError(f"trace id {row['id']!r} not found in {args.claims}")
-    return rows, claims
-
-
-def _supervision(args, record: ClaimRecord, label_hat: Label | None = None) -> SupervisionMode:
-    """A rollout's supervision mode under --mode: Labeled needs the claim's
-    gold label; Unlabeled carries the group's pseudo-label, if any."""
+def _supervision(args, line_no: int, record: ClaimRecord, label_hat: Label | None = None
+                 ) -> SupervisionMode:
+    """The --mode supervision of the rollout on traces line `line_no`: Labeled
+    needs the claim's gold label; Unlabeled carries the group's pseudo-label, if any."""
     if args.mode == "unlabeled":
         return Unlabeled(label_hat)
     if record.label is None:
-        raise UsageError(f"claim {record.id!r} has no gold label")
+        raise IngestError(args.traces, line_no, f"claim {record.id!r} has no gold label")
     return Labeled(record.label)
 
 
 def _cmd_score(args) -> int:
-    rows, claims = _load_trace_rows(args)
-    rollouts = []
-    for row in rows:
-        record = claims[row["id"]]
-        mode = _supervision(args, record)
-        rollouts.append((record, parse_trace(row["trace"]), mode))
+    rollouts = [(record, parse_trace(trace), _supervision(args, line_no, record))
+                for line_no, trace, record in _join_claims(args.traces, "trace", args.claims)]
 
     results = _score_rows(args, rollouts)
     text = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in results)
@@ -282,21 +264,20 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_score_group(args) -> int:
-    rows, claims = _load_trace_rows(args)
-    groups: dict[str, list[dict]] = {}
-    for row in rows:
-        groups.setdefault(row["id"], []).append(row)
+    groups: dict[str, list[tuple[int, str, ClaimRecord]]] = {}
+    for row in _join_claims(args.traces, "trace", args.claims):
+        groups.setdefault(row[2].id, []).append(row)
 
     rollouts = []
     label_hats = []  # (group size, pseudo-label) per group, in output order
     for cid in sorted(groups):
-        record = claims[cid]
         group = groups[cid]
+        line_no, _, record = group[0]
         if len(group) < 2:
-            raise UsageError(f"group {cid!r} has fewer than 2 rollouts")
-        reports = [parse_trace(row["trace"]) for row in group]
+            raise IngestError(args.traces, line_no, f"group {cid!r} has fewer than 2 rollouts")
+        reports = [parse_trace(trace) for _, trace, _ in group]
         label_hat = pseudo_label([report.verdict for report in reports])
-        mode = _supervision(args, record, label_hat)
+        mode = _supervision(args, line_no, record, label_hat)
         rollouts += [(record, report, mode) for report in reports]
         label_hats.append((len(group), label_hat))
 
@@ -319,19 +300,14 @@ def _cmd_score_group(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    preds_rows = _load_rows(args.preds, ("id", "pred"))
-    gold = {rec.id: rec for rec in ingest_claims(args.gold)}
     preds, golds = [], []
-    for line_no, row in preds_rows:
-        rec = gold.get(row["id"])
-        if rec is None:
-            raise UsageError(f"prediction id {row['id']!r} not in gold file")
+    for line_no, pred, rec in _join_claims(args.preds, "pred", args.gold):
         if rec.label is None:
-            raise UsageError(f"gold claim {row['id']!r} is unlabeled")
+            raise IngestError(args.preds, line_no, f"gold claim {rec.id!r} is unlabeled")
         try:
-            preds.append(Label.from_string(row["pred"]))
+            preds.append(Label.from_string(pred))
         except ValueError as exc:
-            raise UsageError(f"{args.preds} line {line_no}: {exc}") from None
+            raise IngestError(args.preds, line_no, str(exc)) from None
         golds.append(rec.label)
     _checks_passed(args)
     print(f"{balanced_accuracy(preds, golds):.4f}")
@@ -360,7 +336,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     except _DryRunDone:
         print("dry-run ok: every check passed; nothing written")
         return 0
-    except (UsageError, IngestError) as exc:
+    except IngestError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 2
     except StageError as exc:

@@ -21,7 +21,7 @@ import unicodedata
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 class Label(Enum):
@@ -88,11 +88,45 @@ class ClaimRecord:
 
 
 class IngestError(ValueError):
-    """Malformed claims file; names the file and carries the 1-based line number."""
+    """Malformed input file; names the file and carries the 1-based line number."""
 
     def __init__(self, path: str | Path, line_no: int, message: str):
         super().__init__(f"{path} line {line_no}: {message}")
         self.line_no = line_no
+
+
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """(1-based line number, object) for each non-blank line of a JSONL file,
+    read one line at a time. A line that is not UTF-8, not JSON or not a JSON
+    object raises IngestError naming the file and that line."""
+    # Undecodable bytes are kept as surrogates, so a bad byte is charged to
+    # its own line, not to the line being read when the decoder met it.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.isascii():  # O(1), so ASCII lines skip the check
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise IngestError(path, line_no, f"not UTF-8: {exc}") from None
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise IngestError(path, line_no, f"invalid JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise IngestError(path, line_no, "line is not a JSON object")
+            yield line_no, obj
+
+
+def read_json(path: str | Path):
+    """The JSON value a whole file holds; a file that is not UTF-8 or not
+    JSON raises ValueError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def ingest_claims(path: str | Path) -> list[ClaimRecord]:
@@ -104,59 +138,50 @@ def ingest_claims(path: str | Path) -> list[ClaimRecord]:
     """
     records: list[ClaimRecord] = []
     seen_ids: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise IngestError(path, line_no, f"invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise IngestError(path, line_no, "line is not a JSON object")
-            for key in ("id", "claim", "evidence", "source"):
-                if key not in obj:
-                    raise IngestError(path, line_no, f"missing field {key!r}")
-            rid = obj["id"]
-            if not isinstance(rid, str) or not rid:
-                raise IngestError(path, line_no, "id must be a non-empty string")
-            if rid in seen_ids:
-                raise IngestError(path, line_no, f"duplicate id {rid!r}")
-            seen_ids.add(rid)
-            if not isinstance(obj["claim"], str) or not obj["claim"]:
-                raise IngestError(path, line_no, "claim must be a non-empty string")
-            if not isinstance(obj["source"], str):
-                raise IngestError(path, line_no, "source must be a string")
-            evidence = obj["evidence"]
-            if not isinstance(evidence, list) or not all(isinstance(p, str) for p in evidence):
-                raise IngestError(path, line_no, "evidence must be a list of strings")
-            label = None
-            raw_label = obj.get("label")
-            if raw_label is not None:
-                if not isinstance(raw_label, str):
-                    raise IngestError(path, line_no, "label must be a string or null")
-                mapped = DEFAULT_LABEL_MAP.get(raw_label.lower())
-                if mapped is None:
-                    raise IngestError(path, line_no, f"unknown label string {raw_label!r}")
-                label = mapped
-            silver = obj.get("silver_question_count")
-            if silver is not None and (isinstance(silver, bool) or not isinstance(silver, int)
-                                       or silver < 1):
-                raise IngestError(path, line_no, "silver_question_count must be a positive integer")
-            meta = obj.get("meta")
-            if meta is not None and not isinstance(meta, dict):
-                raise IngestError(path, line_no, "meta must be a JSON object or null")
-            records.append(
-                ClaimRecord(
-                    id=rid,
-                    claim=obj["claim"],
-                    evidence=list(evidence),
-                    source=obj["source"],
-                    label=label,
-                    silver_question_count=silver,
-                    meta=dict(meta or {}),
-                )
+    for line_no, obj in read_jsonl(path):
+        for key in ("id", "claim", "evidence", "source"):
+            if key not in obj:
+                raise IngestError(path, line_no, f"missing field {key!r}")
+        rid = obj["id"]
+        if not isinstance(rid, str) or not rid:
+            raise IngestError(path, line_no, "id must be a non-empty string")
+        if rid in seen_ids:
+            raise IngestError(path, line_no, f"duplicate id {rid!r}")
+        seen_ids.add(rid)
+        if not isinstance(obj["claim"], str) or not obj["claim"]:
+            raise IngestError(path, line_no, "claim must be a non-empty string")
+        if not isinstance(obj["source"], str):
+            raise IngestError(path, line_no, "source must be a string")
+        evidence = obj["evidence"]
+        if not isinstance(evidence, list) or not all(isinstance(p, str) for p in evidence):
+            raise IngestError(path, line_no, "evidence must be a list of strings")
+        label = None
+        raw_label = obj.get("label")
+        if raw_label is not None:
+            if not isinstance(raw_label, str):
+                raise IngestError(path, line_no, "label must be a string or null")
+            mapped = DEFAULT_LABEL_MAP.get(raw_label.lower())
+            if mapped is None:
+                raise IngestError(path, line_no, f"unknown label string {raw_label!r}")
+            label = mapped
+        silver = obj.get("silver_question_count")
+        if silver is not None and (isinstance(silver, bool) or not isinstance(silver, int)
+                                   or silver < 1):
+            raise IngestError(path, line_no, "silver_question_count must be a positive integer")
+        meta = obj.get("meta")
+        if meta is not None and not isinstance(meta, dict):
+            raise IngestError(path, line_no, "meta must be a JSON object or null")
+        records.append(
+            ClaimRecord(
+                id=rid,
+                claim=obj["claim"],
+                evidence=list(evidence),
+                source=obj["source"],
+                label=label,
+                silver_question_count=silver,
+                meta=dict(meta or {}),
             )
+        )
     return records
 
 

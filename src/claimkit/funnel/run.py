@@ -10,14 +10,13 @@ recorded in a chained report.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
 from ..backends import Cache, DecodingParams, DiskCache, EmbeddingBackend, embed
-from ..corpus import ClaimRecord, IngestError, ingest_claims
+from ..corpus import ClaimRecord, IngestError, ingest_claims, read_json
 from ..wiring import build_embedding_backend, build_judge_backend, build_verifier_backend
 from .budget import allocate_budgets
 from .dedup import check_holdout, decontaminate, dedup_minhash, dedup_semantic
@@ -164,8 +163,7 @@ class FunnelConfig:
     @classmethod
     def from_json_file(cls, path: str | Path) -> "FunnelConfig":
         """A config from a JSON object; its values are checked by the constructors."""
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+        obj = read_json(path)
         if not isinstance(obj, dict):
             raise ValueError(f"config {path} is not a JSON object")
         unknown = sorted(set(obj) - {f.name for f in fields(cls)})

@@ -107,11 +107,10 @@ def parse_trace(text: str) -> ParseReport:
     qa_counts_equal = has_question and len(questions) == len(answers)
 
     # Strict Q->A alternation over the q/a subsequence, with non-empty content.
+    # `blocks` is in start order, as `_BLOCK.finditer` yields it.
     qa_seq = [
         (("q" if name == "question" else "a"), body)
-        for name, body, start, _ in sorted(
-            (b for b in blocks if b[0] in ("question", "answer")), key=lambda b: b[2]
-        )
+        for name, body, _, _ in blocks if name in ("question", "answer")
     ]
     alternation = bool(qa_seq) and len(qa_seq) % 2 == 0
     if alternation:
@@ -164,11 +163,10 @@ def parse_trace(text: str) -> ParseReport:
 
 
 def _reconstruct(blocks, verdict: Label) -> Trace:
-    ordered = sorted(blocks, key=lambda b: b[2])
     initial_think = ""
     cycles: list[Cycle] = []
     pending_q: str | None = None
-    for name, body, _, _ in ordered:
+    for name, body, _, _ in blocks:  # in start order
         if name == "think":
             if not cycles and pending_q is None:
                 if not initial_think:

@@ -60,7 +60,7 @@ from claimkit.backends.transport import (
     RETRY_AFTER_MAX_S,
     RETRY_BACKOFF_S,
 )
-from claimkit.corpus import ClaimRecord, Label
+from claimkit.corpus import ClaimRecord, IngestError, Label
 from claimkit.mock import HashEmbeddingBackend, HashJudgeBackend, HashVerifierBackend
 from claimkit.wiring import build_embedding_backend, build_judge_backend, build_verifier_backend
 
@@ -311,9 +311,11 @@ class TestJudgePlumbing:
         with pytest.raises(TransportError):
             backend.generate("unknown prompt", DecodingParams())
         first_row = path.read_text()
-        for bad_row in (json.dumps({"digest": prompt_digest("bye")}), "not json"):
+        for bad_row, message in ((json.dumps({"digest": prompt_digest("bye")}),
+                                  "fixture rows need 'digest' and 'response'"),
+                                 ("not json", "invalid JSON: Expecting value")):
             path.write_text(first_row + bad_row + "\n")
-            with pytest.raises(ValueError, match=re.escape(f"{path} line 2: fixture rows need")):
+            with pytest.raises(IngestError, match=re.escape(f"{path} line 2: {message}")):
                 FixtureJudgeBackend(path)
 
     def test_judge_generate_caches(self, tmp_path):

@@ -622,6 +622,17 @@ def _write_lines(path, lines):
     return str(path)
 
 
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xe9 in position"
+
+
+def _write_latin1(path, lines):
+    """`_write_lines`, but with each 'é' written as the Latin-1 byte 0xe9,
+    which is not UTF-8."""
+    path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8")
+                     .replace("é".encode("utf-8"), b"\xe9"))
+    return str(path)
+
+
 def _malformed_argv(case, tmp_path, claims):
     """argv for one command run on one malformed outside input."""
     rows = [json.loads(line) for line in claims.read_text().splitlines()[:20]]
@@ -629,15 +640,27 @@ def _malformed_argv(case, tmp_path, claims):
 
     def bad_claims(**fields):
         rows[3].update(fields)
-        return _write_lines(tmp_path / "bad-claims.jsonl", map(json.dumps, rows))
+        return _write_latin1(tmp_path / "bad-claims.jsonl",
+                             [json.dumps(row, ensure_ascii=False) for row in rows])
 
     def funnel(config):
-        return ["funnel", "run", "--config", _write_lines(tmp_path / "cfg.json", [json.dumps(config)]),
+        """`funnel run` on a config object, or on a str holding the config file's text."""
+        text = config if isinstance(config, str) else json.dumps(config)
+        return ["funnel", "run", "--config", _write_latin1(tmp_path / "cfg.json", [text]),
                 "--out", str(tmp_path / "out.jsonl"), "--report", str(tmp_path / "r.json")]
 
     def score(*trace_rows):
         return ["score", "--claims", str(claims), "--out", str(tmp_path / "out.jsonl"),
-                "--traces", _write_lines(tmp_path / "traces.jsonl", trace_rows)]
+                "--traces", _write_latin1(tmp_path / "traces.jsonl", trace_rows)]
+
+    def preds(*pred_rows):
+        return ["eval", "--gold", str(claims),
+                "--preds", _write_latin1(tmp_path / "p.jsonl", pred_rows)]
+
+    def report(text):
+        return ["funnel", "report", "--report", _write_latin1(tmp_path / "r.json", [text])]
+
+    trace_row = json.dumps({"id": first, "trace": VALID_TRACE.format(verdict="Supported")})
 
     def select(**fields):
         return ["select", "--claims", bad_claims(**fields), "--budget", "4",
@@ -648,13 +671,10 @@ def _malformed_argv(case, tmp_path, claims):
         "trace row not an object": lambda: score("5"),
         "trace not a string": lambda: score(json.dumps({"id": first, "trace": 5})),
         "trace id not a string": lambda: score(json.dumps({"id": [first], "trace": "x"})),
-        "pred not a string": lambda: [
-            "eval", "--gold", str(claims),
-            "--preds", _write_lines(tmp_path / "p.jsonl", [json.dumps({"id": first, "pred": 1})])],
-        "pred not a verdict label": lambda: [
-            "eval", "--gold", str(claims), "--preds", _write_lines(tmp_path / "p.jsonl", [
-                json.dumps({"id": first, "pred": "Supported"}), "",
-                json.dumps({"id": first, "pred": "maybe"})])],
+        "pred not a string": lambda: preds(json.dumps({"id": first, "pred": 1})),
+        "pred not a verdict label": lambda: preds(
+            json.dumps({"id": first, "pred": "Supported"}), "",
+            json.dumps({"id": first, "pred": "maybe"})),
         "unknown threshold": lambda: funnel(dict(config, thresholds={"min_passage": 3})),
         "thresholds not an object": lambda: funnel(dict(config, thresholds=[3])),
         "config not an object": lambda: funnel([config]),
@@ -686,12 +706,29 @@ def _malformed_argv(case, tmp_path, claims):
             cache_dir=str(tmp_path / "c"))),
         "ner spec not the built-in counter": lambda: funnel(dict(
             config, backends={"ner": "http://127.0.0.1:9/never"}, cache_dir=str(tmp_path / "c"))),
+        "claims not UTF-8": lambda: select(id="Café"),
+        "traces not UTF-8": lambda: score(trace_row, '{"id": "Café", "trace": "x"}'),
+        "predictions not UTF-8": lambda: preds(
+            json.dumps({"id": first, "pred": "Supported"}), '{"id": "Café", "pred": "x"}'),
+        "fixture not UTF-8": lambda: score(trace_row) + [
+            "--judge", "fixture:" + _write_latin1(tmp_path / "fx.jsonl",
+                                                  ['{"digest": "Café", "response": "x"}'])],
+        "funnel input not UTF-8": lambda: funnel(dict(config, inputs=[bad_claims(id="Café")])),
+        "unknown trace id": lambda: score(trace_row, json.dumps({"id": "ghost", "trace": "x"})),
+        "unknown prediction id": lambda: preds(
+            json.dumps({"id": first, "pred": "Supported"}), "",
+            json.dumps({"id": "ghost", "pred": "Refuted"})),
+        "config not JSON": lambda: funnel('{"budget": 10, "inputs": }'),
+        "config not UTF-8": lambda: funnel('{"budget": 10, "inputs": ["Café.jsonl"]}'),
+        "report not JSON": lambda: report('{"stages": }'),
+        "report not UTF-8": lambda: report('{"stages": [{"name": "Café"}]}'),
     }[case]()
 
 
 class TestMalformedInput:
     """Malformed outside input ends in one error line and a defined exit code:
-    2 for claims, trace and prediction files, 1 for a funnel config."""
+    2 for claims, trace, prediction and fixture files, 1 for a funnel config
+    or report. A malformed JSONL row names its file and line."""
 
     @pytest.mark.parametrize("case, code", [
         ("trace row not an object", 2),
@@ -732,12 +769,36 @@ class TestMalformedInput:
          "error: unsupported entity-counter spec 'http://127.0.0.1:9/never'"),
         ("pred not a verdict label", 2,
          "error: usage: {tmp}/p.jsonl line 3: not a 2-way verdict label: 'maybe'"),
+        # A bad byte is charged to its own line, not to the line being read
+        # when the decoder met it.
+        ("claims not UTF-8", 2, "error: usage: {tmp}/bad-claims.jsonl line 4: not UTF-8: "
+         f"{NOT_UTF8} 11: invalid continuation byte"),
+        ("traces not UTF-8", 2, "error: usage: {tmp}/traces.jsonl line 2: not UTF-8: "
+         f"{NOT_UTF8} 11: invalid continuation byte"),
+        ("predictions not UTF-8", 2, "error: usage: {tmp}/p.jsonl line 2: not UTF-8: "
+         f"{NOT_UTF8} 11: invalid continuation byte"),
+        ("fixture not UTF-8", 2, "error: usage: {tmp}/fx.jsonl line 1: not UTF-8: "
+         f"{NOT_UTF8} 15: invalid continuation byte"),
+        ("funnel input not UTF-8", 1, "error: stage ingest: input file: {tmp}/bad-claims.jsonl "
+         f"line 4: not UTF-8: {NOT_UTF8} 11: invalid continuation byte"),
+        ("unknown trace id", 2,
+         "error: usage: {tmp}/traces.jsonl line 2: id 'ghost' is not in {claims}"),
+        ("unknown prediction id", 2,
+         "error: usage: {tmp}/p.jsonl line 3: id 'ghost' is not in {claims}"),
+        ("config not JSON", 1,
+         "error: {tmp}/cfg.json: Expecting value: line 1 column 26 (char 25)"),
+        ("config not UTF-8", 1,
+         f"error: {{tmp}}/cfg.json: {NOT_UTF8} 30: invalid continuation byte"),
+        ("report not JSON", 1, "error: {tmp}/r.json: Expecting value: line 1 column 12 (char 11)"),
+        ("report not UTF-8", 1,
+         f"error: {{tmp}}/r.json: {NOT_UTF8} 25: invalid continuation byte"),
     ])
     def test_error_line_names_the_fault(self, tmp_path, corpus_files, capsys, case, code, line):
-        # Config values are checked before any stage runs, and a claims
+        # Config values are checked before any stage runs, and an input
         # error names the file, which matters for commands that read two.
-        assert dispatch(_malformed_argv(case, tmp_path, corpus_files[0])) == code
-        assert capsys.readouterr().err.splitlines() == [line.format(tmp=tmp_path)]
+        claims = corpus_files[0]
+        assert dispatch(_malformed_argv(case, tmp_path, claims)) == code
+        assert capsys.readouterr().err.splitlines() == [line.format(tmp=tmp_path, claims=claims)]
 
     def test_integral_float_config_counts_accepted(self, tmp_path, corpus_files):
         cfg = _write_lines(tmp_path / "cfg.json", [json.dumps(

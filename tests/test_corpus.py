@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import stat
 import unicodedata
 
@@ -18,6 +19,7 @@ from claimkit.corpus import (
     entity_spans,
     ingest_claims,
     lexical_overlap,
+    read_jsonl,
     tokenize,
     write_claims,
 )
@@ -115,6 +117,36 @@ class TestIngest:
             os.umask(saved)
         for name in ("claims.jsonl", "report.json"):  # as open(path, "w") would leave them
             assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o666 & ~umask
+
+
+class TestReadJsonl:
+    def test_lines_split_as_text_mode_splits_them(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_bytes(b'{"a": 1}\r\n\n{"a": "\xc3\xa9"}\r{"a": 3}')
+        assert list(read_jsonl(path)) == [(1, {"a": 1}), (3, {"a": "é"}), (4, {"a": 3})]
+
+    @pytest.mark.parametrize("line, message", [
+        ("[1]", "line is not a JSON object"),
+        ("{", "invalid JSON: Expecting property name"),
+    ])
+    def test_malformed_line_names_the_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"a": 1}\n' + line + "\n")
+        with pytest.raises(IngestError, match=f"^{path} line 2: {re.escape(message)}"):
+            list(read_jsonl(path))
+
+    def test_bad_byte_is_charged_to_its_own_line(self, tmp_path):
+        # The file spans many decoder chunks, with multibyte characters
+        # across their boundaries; the decoder meets the bad byte while an
+        # earlier line is read, but every line before it is still yielded.
+        rows = [json.dumps({"a": "é" * 50}, ensure_ascii=False).encode() for _ in range(300)]
+        rows[249] = rows[249].replace("é".encode(), b"\xe9", 1)
+        path = tmp_path / "rows.jsonl"
+        path.write_bytes(b"\n".join(rows) + b"\n")
+        seen = []
+        with pytest.raises(IngestError, match="line 250: not UTF-8: .* byte 0xe9 in position 7"):
+            seen.extend(line_no for line_no, _ in read_jsonl(path))
+        assert seen == list(range(1, 250))
 
 
 class TestTokenize:
