@@ -1,12 +1,12 @@
 """Command-line entry point.
 
 Subcommands: `funnel run`, `funnel report`, `dedup`, `decontaminate`,
-`select`, `score`, `score-group`, and `eval`. Exit codes: 0 success,
-1 stage or backend failure (single machine-parseable error line on
-stderr), 2 usage error; a flag that its command does not take is a usage
-error too. All output files are written atomically, and `funnel run` and
-`select`, the commands that take --seed, give byte-identical artifacts for
-any one seed.
+`select`, `score`, `score-group`, and `eval`. Exit codes: 0 success, 2 a
+bad command line or a malformed input file (IngestError), 1 any other
+fault. `dispatch` alone maps a fault to its code and its one `error:` line
+on stderr, by its class, whichever command or funnel stage met it. All
+output files are written atomically, and `funnel run` and `select`, the
+commands that take --seed, give byte-identical artifacts for any one seed.
 
 Each command makes every check and builds its backends before it opens its
 cache (`_open_cache`); `--dry-run` stops the same command there, so it
@@ -336,18 +336,16 @@ def dispatch(argv: list[str] | None = None) -> int:
     except _DryRunDone:
         print("dry-run ok: every check passed; nothing written")
         return 0
-    except IngestError as exc:
-        print(f"error: usage: {exc}", file=sys.stderr)
-        return 2
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (TransportError, ProtocolError) as exc:
-        print(f"error: backend: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (StageError, TransportError, ProtocolError, OSError, ValueError) as exc:
+        # One policy, by the fault's class: a stage's failure is classed by
+        # its cause, and the stage only names where it happened.
+        context = ""
+        if isinstance(exc, StageError) and exc.__cause__ is not None:
+            context, exc = f"stage {exc.stage}: ", exc.__cause__
+        if isinstance(exc, (TransportError, ProtocolError)):
+            context += "backend: "
+        print(f"error: {context}{exc}", file=sys.stderr)
+        return 2 if isinstance(exc, IngestError) else 1
 
 
 def main() -> None:

@@ -129,16 +129,18 @@ def read_json(path: str | Path):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def ingest_claims(path: str | Path) -> list[ClaimRecord]:
-    """Read a claims JSONL file, mapping native label strings to the 2-way
+def ingest_claims(*paths: str | Path) -> list[ClaimRecord]:
+    """Read claims JSONL files, mapping native label strings to the 2-way
     scheme through DEFAULT_LABEL_MAP.
 
-    Preserves file order. Unmapped non-null labels, duplicate ids, and
-    schema violations raise IngestError naming the file and the offending line.
+    Preserves file order. Unmapped non-null labels, an id read before from
+    any of the files, and schema violations raise IngestError naming the
+    file and the offending line.
     """
     records: list[ClaimRecord] = []
     seen_ids: set[str] = set()
-    for line_no, obj in read_jsonl(path):
+    rows = ((path, line_no, obj) for path in paths for line_no, obj in read_jsonl(path))
+    for path, line_no, obj in rows:
         for key in ("id", "claim", "evidence", "source"):
             if key not in obj:
                 raise IngestError(path, line_no, f"missing field {key!r}")

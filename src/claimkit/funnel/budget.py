@@ -59,10 +59,15 @@ def _apportion(populations: dict[str, int], quota: int) -> dict[str, int]:
     return alloc
 
 
-def allocate_budgets(pool: Sequence[ClaimRecord], total: int) -> SelectionBudget:
-    """Split a total budget into per-(label, source) cell budgets."""
+def check_total(total: int) -> None:
+    """Raise ValueError unless the total budget gives each label half a share."""
     if total < 2:
         raise ValueError("total budget must be at least 2")
+
+
+def allocate_budgets(pool: Sequence[ClaimRecord], total: int) -> SelectionBudget:
+    """Split a total budget into per-(label, source) cell budgets."""
+    check_total(total)
     if total > len(pool):
         raise ValueError(f"budget {total} exceeds pool size {len(pool)}")
     populations: dict[tuple[Label, str], int] = {}

@@ -16,9 +16,9 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from ..backends import Cache, DecodingParams, DiskCache, EmbeddingBackend, embed
-from ..corpus import ClaimRecord, IngestError, ingest_claims, read_json
+from ..corpus import ClaimRecord, ingest_claims, read_json
 from ..wiring import build_embedding_backend, build_judge_backend, build_verifier_backend
-from .budget import allocate_budgets
+from .budget import allocate_budgets, check_total
 from .dedup import check_holdout, decontaminate, dedup_minhash, dedup_semantic
 from .select import alt_select, lazy_greedy
 from .stages import (
@@ -147,6 +147,7 @@ class FunnelConfig:
         if not all(is_number(v) and (isinstance(v, int) or v.is_integer()) for v in counts):
             raise ValueError("config budget, seed and max_tokens must be integers")
         self.budget, self.seed, self.max_tokens = map(int, counts)
+        check_total(self.budget)  # the select stage's own check, made before any stage
         if self.selector not in SELECTORS:
             raise ValueError(f"unknown selector {self.selector!r}")
         if not (isinstance(self.inputs, list) and isinstance(self.holdouts, list)):
@@ -183,22 +184,6 @@ def stage_seed(seed: int, stage: str) -> int:
     """Per-stage seed derived from the single run seed."""
     digest = hashlib.blake2b(f"{seed}:{stage}".encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
-
-
-def _load_inputs(paths: Sequence[str], what: str) -> list[ClaimRecord]:
-    records: list[ClaimRecord] = []
-    seen: set[str] = set()
-    for path in paths:
-        try:
-            batch = ingest_claims(path)
-        except (OSError, IngestError) as exc:  # each names the file
-            raise StageError("ingest", f"{what} file: {exc}") from exc
-        for rec in batch:
-            if rec.id in seen:
-                raise StageError("ingest", f"duplicate id {rec.id!r} across {what} files")
-            seen.add(rec.id)
-            records.append(rec)
-    return records
 
 
 def select_stratified(
@@ -241,18 +226,18 @@ def run_funnel(config: FunnelConfig, open_cache: Callable[[str], DiskCache] = Di
                ) -> tuple[list[ClaimRecord], FunnelReport]:
     """Execute every curation stage in order and account for each record.
 
-    The backends are built, the inputs and holdouts loaded (an ingest error
-    is `StageError("ingest", ...)`) and the holdouts checked before
-    `open_cache(cache_dir)`;
-    `funnel run --dry-run` stops there. A stage maps the pool to (kept,
-    rejected); one that raises fails the run with a `StageError` naming it.
+    The backends are built, the inputs and holdouts read by `ingest_claims`
+    (so a bad file raises its IngestError or OSError) and the holdouts
+    checked before `open_cache(cache_dir)`; `funnel run --dry-run` stops
+    there. A stage maps the pool to (kept, rejected); one that raises fails
+    the run with a `StageError` naming it.
     """
     judge = build_judge_backend(config.backends["judge"])
     embedding = build_embedding_backend(config.backends["embedding"])
     verifier = build_verifier_backend(config.backends["verifier"])
     params = DecodingParams(max_tokens=config.max_tokens)
-    pool = _load_inputs(config.inputs, "input")
-    holdout = _load_inputs(config.holdouts, "holdout")
+    pool = ingest_claims(*config.inputs)
+    holdout = ingest_claims(*config.holdouts)
     if config.holdouts:
         try:
             check_holdout(holdout)

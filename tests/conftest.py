@@ -362,9 +362,13 @@ def judge_server(monkeypatch):
     yield from _serve(server)
 
 
+RELAY_FAULTS = ("5xx", "hang-up", "non-JSON")
+
+
 class _RelayHandler(_QuietHandler):
     """Serves the judge, embedding and verifier wire protocols at /judge,
-    /embed and /verify, answering as the mock backends do."""
+    /embed and /verify, answering as the mock backends do, or failing a
+    request that holds a faulted item in its fault's way."""
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers.get("Content-Length", 0))))
@@ -380,23 +384,40 @@ class _RelayHandler(_QuietHandler):
             reply = {"p_supported": mock.probability_supported(body["claim"], body["evidence"])}
         with self.server.lock:
             self.server.seen[kind].append(item)
+        faults = self.server.fault
+        fault = next((faults[i] for i in (item if kind == "embed" else [item]) if i in faults),
+                     None)
         status = self.server.status.get(kind, 200)
-        self._send(status, json.dumps(reply).encode() if status == 200 else b"{}")
+        if fault == "hang-up":
+            self.close_connection = True  # no reply at all
+        elif fault is not None:
+            self._send(*((503, b"{}") if fault == "5xx" else (200, b"not JSON")))
+        elif status != 200:
+            self._send(status, b"{}")
+        else:
+            with self.server.lock:
+                self.server.served[kind].append(item)
+            self._send(200, json.dumps(reply).encode())
 
 
 @pytest.fixture()
 def relay_server(monkeypatch):
     """Threaded server on 127.0.0.1 relaying the mock judge, embedder and
     verifier. `server.seen[kind]` lists each request's prompt, text batch or
-    (claim, evidence) pair; `server.status[kind]` makes that kind reply with
-    another status."""
+    (claim, evidence) pair, and `server.served[kind]` those answered as the
+    mock would; `server.status[kind]` makes that kind reply with another
+    status. `server.fault` maps a judge prompt or an embedded text to one of
+    RELAY_FAULTS, and every request holding it fails that way: a 503, a
+    hang-up without a reply, or a 200 whose body is not JSON."""
     monkeypatch.setenv("NO_PROXY", "127.0.0.1")
     server = _ThreadedServer(("127.0.0.1", 0), _RelayHandler)
     server.lock = threading.Lock()
     server.mocks = {"judge": HashJudgeBackend(), "embed": HashEmbeddingBackend(),
                     "verify": HashVerifierBackend()}
     server.seen = {kind: [] for kind in server.mocks}
+    server.served = {kind: [] for kind in server.mocks}
     server.status = {}
+    server.fault = {}
     yield from _serve(server)
 
 

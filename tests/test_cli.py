@@ -12,12 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import CACHE_FAULTS, break_cache
+from conftest import CACHE_FAULTS, RELAY_FAULTS, break_cache
 from test_acceptance import _random_trace
 from test_rewards import GarblingJudge, _ref_total_reward
 
 from claimkit import cli, rewards
-from claimkit.backends import DecodingParams, DiskCache, MemoryCache, prompt_digest
+from claimkit.backends import DecodingParams, DiskCache, MemoryCache, prompt_digest, transport
 from claimkit.backends.embeddings import EMBED_CHUNK
 from claimkit.cli import dispatch
 from claimkit.corpus import ClaimRecord, Label, ingest_claims, write_claims
@@ -131,7 +131,7 @@ class TestFunnelCommands:
     @pytest.mark.parametrize("flag, seed", [([], 3), (["--seed", "0"], 0), (["--seed", "5"], 5)])
     def test_seed_flag_overrides_config(self, tmp_path, monkeypatch, flag, seed):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"inputs": ["unread.jsonl"], "budget": 1, "seed": 3}))
+        cfg.write_text(json.dumps({"inputs": ["unread.jsonl"], "budget": 2, "seed": 3}))
         seen = []
 
         def fake_run(config, **_):
@@ -260,7 +260,8 @@ class TestScoring:
         assert dispatch(["score", "--traces", str(traces), "--claims", str(claims),
                          "--mode", "labeled", "--out", str(out),
                          "--cache-dir", str(tmp_path / "c")]) == 0
-        rows = [json.loads(l) for l in open(out)]
+        with open(out) as fh:
+            rows = [json.loads(line) for line in fh]
         assert len(rows) == 3
         for row in rows:
             assert row["ver"] == 1.0  # traces echo the gold verdict
@@ -273,7 +274,8 @@ class TestScoring:
         out = tmp_path / "group.jsonl"
         assert dispatch(["score-group", "--traces", str(traces), "--claims", str(claims),
                          "--out", str(out), "--cache-dir", str(tmp_path / "c")]) == 0
-        rows = [json.loads(l) for l in open(out)]
+        with open(out) as fh:
+            rows = [json.loads(line) for line in fh]
         assert len(rows) == 12
         by_id = {}
         for row in rows:
@@ -757,34 +759,34 @@ class TestMalformedInput:
         ("budget not integral", 1, "error: config budget, seed and max_tokens must be integers"),
         ("seed a string", 1, "error: config budget, seed and max_tokens must be integers"),
         ("holdout claim not a string", 2,
-         "error: usage: {tmp}/bad-claims.jsonl line 4: claim must be a non-empty string"),
+         "error: {tmp}/bad-claims.jsonl line 4: claim must be a non-empty string"),
         ("gold claim not a string", 2,
-         "error: usage: {tmp}/bad-claims.jsonl line 4: claim must be a non-empty string"),
-        ("funnel holdout claim not a string", 1, "error: stage ingest: holdout file: "
-         "{tmp}/bad-claims.jsonl line 4: claim must be a non-empty string"),
+         "error: {tmp}/bad-claims.jsonl line 4: claim must be a non-empty string"),
+        ("funnel holdout claim not a string", 2,
+         "error: {tmp}/bad-claims.jsonl line 4: claim must be a non-empty string"),
         # a misspelt key would otherwise skip decontamination or the HTTP embedder
         ("unknown config key", 1, "error: unknown config key 'holdout'"),
         ("unknown backend", 1, "error: unknown backend 'embeding'"),
         ("ner spec not the built-in counter", 1,
          "error: unsupported entity-counter spec 'http://127.0.0.1:9/never'"),
         ("pred not a verdict label", 2,
-         "error: usage: {tmp}/p.jsonl line 3: not a 2-way verdict label: 'maybe'"),
+         "error: {tmp}/p.jsonl line 3: not a 2-way verdict label: 'maybe'"),
         # A bad byte is charged to its own line, not to the line being read
         # when the decoder met it.
-        ("claims not UTF-8", 2, "error: usage: {tmp}/bad-claims.jsonl line 4: not UTF-8: "
+        ("claims not UTF-8", 2, "error: {tmp}/bad-claims.jsonl line 4: not UTF-8: "
          f"{NOT_UTF8} 11: invalid continuation byte"),
-        ("traces not UTF-8", 2, "error: usage: {tmp}/traces.jsonl line 2: not UTF-8: "
+        ("traces not UTF-8", 2, "error: {tmp}/traces.jsonl line 2: not UTF-8: "
          f"{NOT_UTF8} 11: invalid continuation byte"),
-        ("predictions not UTF-8", 2, "error: usage: {tmp}/p.jsonl line 2: not UTF-8: "
+        ("predictions not UTF-8", 2, "error: {tmp}/p.jsonl line 2: not UTF-8: "
          f"{NOT_UTF8} 11: invalid continuation byte"),
-        ("fixture not UTF-8", 2, "error: usage: {tmp}/fx.jsonl line 1: not UTF-8: "
+        ("fixture not UTF-8", 2, "error: {tmp}/fx.jsonl line 1: not UTF-8: "
          f"{NOT_UTF8} 15: invalid continuation byte"),
-        ("funnel input not UTF-8", 1, "error: stage ingest: input file: {tmp}/bad-claims.jsonl "
-         f"line 4: not UTF-8: {NOT_UTF8} 11: invalid continuation byte"),
+        ("funnel input not UTF-8", 2, "error: {tmp}/bad-claims.jsonl line 4: not UTF-8: "
+         f"{NOT_UTF8} 11: invalid continuation byte"),
         ("unknown trace id", 2,
-         "error: usage: {tmp}/traces.jsonl line 2: id 'ghost' is not in {claims}"),
+         "error: {tmp}/traces.jsonl line 2: id 'ghost' is not in {claims}"),
         ("unknown prediction id", 2,
-         "error: usage: {tmp}/p.jsonl line 3: id 'ghost' is not in {claims}"),
+         "error: {tmp}/p.jsonl line 3: id 'ghost' is not in {claims}"),
         ("config not JSON", 1,
          "error: {tmp}/cfg.json: Expecting value: line 1 column 26 (char 25)"),
         ("config not UTF-8", 1,
@@ -929,6 +931,7 @@ def _dry_run_case_argv(case, tmp_path, corpus_files, funnel_config, monkeypatch)
         return _cache_command_argv(case, tmp_path, corpus_files, funnel_config)
     return {
         "funnel duplicate id across inputs": lambda: funnel(inputs=[str(claims), str(claims)]),
+        "funnel budget of 1": lambda: funnel(budget=1),
         "funnel bad embedding spec": lambda: funnel(backends={"embedding": "htp://x"}),
         "funnel missing holdout": lambda: funnel(holdouts=[str(tmp_path / "missing.jsonl")]),
         "funnel empty holdout": lambda: funnel(holdouts=[_write_lines(tmp_path / "h.jsonl", [])]),
@@ -958,7 +961,8 @@ class TestDryRunParity:
 
     @pytest.mark.parametrize("case, code", [
         *[(command, 0) for command in (*CACHE_COMMANDS, "eval")],
-        ("funnel duplicate id across inputs", 1),
+        ("funnel duplicate id across inputs", 2),
+        ("funnel budget of 1", 1),
         ("funnel bad embedding spec", 1),
         ("funnel missing holdout", 1),
         ("funnel empty holdout", 1),
@@ -992,3 +996,137 @@ class TestDryRunParity:
             assert dry.err == real.err and len(real.err.splitlines()) == 1
             assert real.err.startswith("error: ")
             assert not any(path.exists() for path in written)
+
+
+def _fault_sides(case, tmp_path, claims, relay_server):
+    """{"funnel": argv, "standalone": argv} of `funnel run` and of the
+    standalone command meeting one fault. Each side runs in its own
+    directory under tmp_path, where this writes the files it reads."""
+    rows = [json.loads(line) for line in claims.read_text().splitlines()[:3]]
+    lines = [json.dumps(row, ensure_ascii=False) for row in rows]
+    scored = {"scored.jsonl": [json.dumps(dict(row, silver_question_count=2)) for row in rows],
+              "traces.jsonl": [json.dumps({"id": row["id"], "trace": VALID_TRACE.format(
+                  verdict="Supported")}) for row in rows]}
+    dedup = ["dedup", "--claims", "claims.jsonl"]
+    score = ["score", "--claims", "scored.jsonl", "--traces", "traces.jsonl", "--judge"]
+    judge_url = relay_server.url + "judge"
+    # (funnel's files, its config fields, standalone's files, its argv)
+    funnel_files, fields, standalone_files, argv = {
+        "malformed claims row": (
+            {"claims.jsonl": lines + [json.dumps({"id": "x", "evidence": [], "source": "s"})]},
+            {"inputs": ["claims.jsonl"]}, None, dedup),
+        "non-UTF-8 byte": (
+            {"claims.jsonl": lines[:2] + [json.dumps(dict(rows[2], id="Café"),
+                                                     ensure_ascii=False)]},
+            {"inputs": ["claims.jsonl"]}, None, dedup),
+        "missing input file": ({}, {"inputs": ["claims.jsonl"]}, None, dedup),
+        # the funnel meets the id again in a later file, `dedup` later in its one file
+        "duplicate id across input files": (
+            {"first.jsonl": lines[:1], "claims.jsonl": [lines[1], lines[0]]},
+            {"inputs": ["first.jsonl", "claims.jsonl"]},
+            {"claims.jsonl": [lines[0], lines[0]]}, dedup),
+        "fixture row without response": (
+            {"fx.jsonl": ['{"digest": "x"}'], **scored},
+            {"inputs": [str(claims)], "backends": {"judge": "fixture:fx.jsonl"}},
+            None, score + ["fixture:fx.jsonl"]),
+        "503 from the relay judge": (
+            scored, {"inputs": [str(claims)], "backends": {"judge": judge_url}},
+            None, score + [judge_url]),
+    }[case]
+    config = {"holdouts": [], "budget": 10, "cache_dir": "c", **fields}
+    sides = {"funnel": (dict(funnel_files, **{"cfg.json": [json.dumps(config)]}),
+                        ["funnel", "run", "--config", "cfg.json", "--report", "r.json"]),
+             "standalone": (funnel_files if standalone_files is None else standalone_files,
+                            argv + ["--cache-dir", "c"])}
+    for side, (files, _) in sides.items():
+        (tmp_path / side).mkdir()
+        for name, file_lines in files.items():
+            _write_latin1(tmp_path / side / name, file_lines)
+    return {side: argv + ["--out", "out.jsonl"] for side, (_, argv) in sides.items()}
+
+
+class TestOneFaultOneOutcome:
+    """A fault ends `funnel run` and the standalone command that meets it with
+    the same exit code and the same error line, but for the `stage <name>: `
+    that a funnel stage's failure adds. A dry run of either command that can
+    see the fault ends the same way as its real run."""
+
+    @pytest.mark.parametrize("case, code, line, stage", [
+        ("malformed claims row", 2, "claims.jsonl line 4: missing field 'claim'", None),
+        ("non-UTF-8 byte", 2,
+         f"claims.jsonl line 3: not UTF-8: {NOT_UTF8} 11: invalid continuation byte", None),
+        ("missing input file", 1, "[Errno 2] No such file or directory: 'claims.jsonl'", None),
+        ("duplicate id across input files", 2, "claims.jsonl line 2: duplicate id {id!r}", None),
+        ("fixture row without response", 2,
+         "fx.jsonl line 1: fixture rows need 'digest' and 'response'", None),
+        ("503 from the relay judge", 1,
+         "backend: endpoint {url}judge unreachable: server replied 503", "silver_decompose"),
+    ])
+    def test_same_code_and_line(self, tmp_path, corpus_files, relay_server, monkeypatch, capsys,
+                                case, code, line, stage):
+        monkeypatch.setattr(transport.time, "sleep", lambda s: None)
+        relay_server.status["judge"] = 503
+        argvs = _fault_sides(case, tmp_path, corpus_files[0], relay_server)
+        outcome = {}
+        for side, argv in argvs.items():
+            monkeypatch.chdir(tmp_path / side)
+            for dry in (True, False):
+                code_got = dispatch(argv + ["--dry-run"] * dry)
+                outcome[side, dry] = code_got, capsys.readouterr().err
+            assert not (tmp_path / side / "out.jsonl").exists()
+
+        first_id = ingest_claims(corpus_files[0])[0].id
+        line = "error: " + line.format(id=first_id, url=relay_server.url) + "\n"
+        assert outcome["standalone", False] == (code, line)
+        funnel_line = line if stage is None else line.replace("error: ", f"error: stage {stage}: ")
+        assert outcome["funnel", False] == (code, funnel_line)
+        for side in argvs:
+            # a backend fault shows only once a backend is called
+            dry_outcome = (0, "") if stage else outcome[side, False]
+            assert outcome[side, True] == dry_outcome
+
+
+class TestFaultAndRerun:
+    """A run failed at any one backend item, in any of RELAY_FAULTS' ways,
+    exits 1 with one backend error line; rerun on the same cache, it ends
+    in the clean run's bytes and asks only for what the failed run did not
+    get, each item once."""
+
+    def test_score_group_fails_at_each_item_and_resumes(self, tmp_path, corpus_files,
+                                                         relay_server, monkeypatch, capsys):
+        monkeypatch.setattr(transport.time, "sleep", lambda s: None)
+        records = [rec.with_silver_count(2) for rec in ingest_claims(corpus_files[0])[:2]]
+        write_claims(records, tmp_path / "claims.jsonl")
+        traces = _write_lines(tmp_path / "traces.jsonl", [json.dumps(
+            {"id": rec.id, "trace": VALID_TRACE.format(verdict=verdict)})
+            for rec in records for verdict in ("Supported", "Refuted")])
+
+        def run(cache, out):
+            for requests in (*relay_server.seen.values(), *relay_server.served.values()):
+                requests.clear()
+            code = dispatch(["score-group", "--claims", str(tmp_path / "claims.jsonl"),
+                             "--traces", traces, "--judge", relay_server.url + "judge",
+                             "--embedding", relay_server.url + "embed",
+                             "--cache-dir", str(tmp_path / cache), "--out", str(tmp_path / out)])
+            return code, capsys.readouterr().err.splitlines()
+
+        def items(requests):
+            return ([("judge", prompt) for prompt in requests["judge"]]
+                    + [("embed", text) for batch in requests["embed"] for text in batch])
+
+        assert run("clean", "clean.jsonl") == (0, [])
+        clean = list(dict.fromkeys(items(relay_server.seen)))
+        assert len(clean) > 10
+        for k, (kind, item) in enumerate(clean):
+            relay_server.fault = {item: RELAY_FAULTS[k % len(RELAY_FAULTS)]}
+            code, err = run(f"c{k}", f"out{k}.jsonl")
+            assert code == 1 and len(err) == 1 and err[0].startswith("error: backend:")
+            assert not (tmp_path / f"out{k}.jsonl").exists()
+            got = set(items(relay_server.served))
+
+            relay_server.fault = {}
+            assert run(f"c{k}", f"out{k}.jsonl") == (0, [])
+            assert (tmp_path / f"out{k}.jsonl").read_bytes() == (
+                tmp_path / "clean.jsonl").read_bytes()
+            asked = items(relay_server.seen)
+            assert sorted(asked) == sorted(set(clean) - got)

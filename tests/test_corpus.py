@@ -77,6 +77,18 @@ class TestIngest:
         with pytest.raises(IngestError):
             ingest_claims(path)
 
+    def test_files_are_read_in_order_with_one_id_set(self, tmp_path):
+        rows = [{"id": rid, "claim": "c", "evidence": ["e"], "source": "s"} for rid in "123"]
+        a, b, c = (tmp_path / name for name in ("a.jsonl", "b.jsonl", "c.jsonl"))
+        _write_jsonl(a, rows[:2])
+        _write_jsonl(b, rows[2:])
+        _write_jsonl(c, rows[2:] + rows[:1])
+        assert [r.id for r in ingest_claims(a, b)] == ["1", "2", "3"]
+        assert ingest_claims() == []
+        with pytest.raises(IngestError) as err:
+            ingest_claims(a, c)
+        assert str(err.value) == f"{c} line 2: duplicate id '1'"
+
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "claims.jsonl"
         _write_jsonl(path, [{"id": "1", "claim": "c", "source": "s"}])

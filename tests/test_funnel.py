@@ -25,6 +25,7 @@ from claimkit.backends import DecodingParams, MemoryCache, embed
 from claimkit.corpus import (
     STOPWORDS,
     ClaimRecord,
+    IngestError,
     Label,
     lexical_overlap,
     write_claims,
@@ -910,11 +911,17 @@ class TestRunFunnel:
         assert err.value.stage == stage
         assert str(err.value) == f"stage {stage}: boom"
 
-    def test_holdout_ingest_error_keeps_its_stage(self, tmp_path):
-        config = self._config(tmp_path, holdouts=[str(tmp_path / "missing.jsonl")])
-        with pytest.raises(StageError) as err:
+    def test_holdout_ingest_error_is_raised_as_it_is(self, tmp_path):
+        # An input fault is no stage's failure: run_funnel raises what
+        # ingest_claims raised, and an id read from an earlier holdout file
+        # is a duplicate at its line in the later one.
+        holdout = _funnel_corpus()[1]
+        second = tmp_path / "second.jsonl"
+        write_claims(holdout[2:3], second)
+        config = self._config(tmp_path, holdouts=[str(tmp_path / "holdout.jsonl"), str(second)])
+        with pytest.raises(IngestError) as err:
             run_funnel(config)
-        assert err.value.stage == "ingest"
+        assert str(err.value) == f"{second} line 1: duplicate id {holdout[2].id!r}"
 
     def test_inputs_and_holdouts_load_before_the_cache_opens(self, tmp_path, monkeypatch):
         # A bad holdout file fails the run before any cache or stage work, and
@@ -922,8 +929,10 @@ class TestRunFunnel:
         ran, opened = [], []
         monkeypatch.setattr("claimkit.funnel.run.rule_filter", lambda *args: ran.append(args))
         config = self._config(tmp_path, holdouts=[str(tmp_path / "missing.jsonl")])
-        with pytest.raises(StageError, match="^stage ingest: holdout file: "):
+        with pytest.raises(FileNotFoundError) as err:
             run_funnel(config)
+        assert str(err.value) == (
+            f"[Errno 2] No such file or directory: '{tmp_path / 'missing.jsonl'}'")
         assert ran == [] and not (tmp_path / "cache").exists()
 
         class Stop(Exception):
