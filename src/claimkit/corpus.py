@@ -247,26 +247,47 @@ STOPWORDS = frozenset(
 )
 
 
-def lexical_overlap(claim: str, evidence: str) -> float:
-    """Fraction of the claim's distinct content tokens present in the evidence.
+def token_set(text: str) -> tuple[set[str], int]:
+    """The distinct lowercased tokens of `text`, `{t.lower() for t in
+    tokenize(text)}`, and its token count, `count_tokens(text)`.
 
-    Stopwords are removed from the claim side; falls back to all distinct
-    claim tokens when the claim is stopwords-only, so overlap(c, c) == 1.0.
+    The whole text is lowercased and split once, and each distinct raw token
+    is stripped once: only those whose first or last character is not
+    alphanumeric, since the rest strip to themselves. That equals lowering
+    each stripped token because lowercasing keeps whitespace and P*
+    characters where they are, and carries no context across them;
+    tests/test_corpus.py checks those premises over every code point.
     """
-    return overlap_with_tokens(claim, tokenize(evidence))
+    raw = text.lower().split()
+    distinct = set(raw)
+    tokens = {tok for tok in distinct if tok[0].isalnum() and tok[-1].isalnum()}
+    count = len(raw)
+    for tok in distinct - tokens:
+        stripped = _strip_punct(tok)
+        if stripped:
+            tokens.add(stripped)
+        else:  # punctuation only: not a token
+            count -= raw.count(tok)
+    return tokens, count
 
 
-def overlap_with_tokens(claim: str, evidence_tokens: Iterable[str]) -> float:
-    """`lexical_overlap` against evidence that is already tokenized."""
-    claim_tokens = [t.lower() for t in tokenize(claim)]
-    if not claim_tokens:
-        raise ValueError("claim must be non-empty")
-    content = {t for t in claim_tokens if t not in STOPWORDS}
+def content_overlap(claim: str, evidence_tokens: set[str]) -> tuple[int, int]:
+    """(number of the claim's distinct content tokens, how many of them are
+    in `evidence_tokens`, a `token_set`). Stopwords are removed from the
+    claim side; a stopwords-only claim keeps all its distinct tokens. A claim
+    without tokens gives (0, 0)."""
+    claim_tokens, _ = token_set(claim)
+    content = claim_tokens - STOPWORDS or claim_tokens
+    return len(content), len(content & evidence_tokens)
+
+
+def lexical_overlap(claim: str, evidence: str) -> float:
+    """Fraction of the claim's distinct content tokens present in the evidence,
+    as `content_overlap` counts them, so overlap(c, c) == 1.0."""
+    content, hits = content_overlap(claim, token_set(evidence)[0])
     if not content:
-        content = set(claim_tokens)
-    evidence_set = {t.lower() for t in evidence_tokens}
-    hit = sum(1 for t in content if t in evidence_set)
-    return hit / len(content)
+        raise ValueError("claim must be non-empty")
+    return hits / content
 
 
 # --- named-entity counting -----------------------------------------------

@@ -32,6 +32,7 @@ from .stages import (
     difficulty_filter,
     long_evidence_augment,
     rule_filter,
+    rule_stats,
     silver_stage,
 )
 
@@ -61,6 +62,7 @@ __all__ = [
     "long_evidence_augment",
     "naive_greedy",
     "rule_filter",
+    "rule_stats",
     "run_funnel",
     "select_stratified",
     "shingle_set",

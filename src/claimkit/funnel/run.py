@@ -25,6 +25,7 @@ from .stages import (
     RuleThresholds,
     StageError,
     difficulty_filter,
+    is_count,
     is_number,
     long_evidence_augment,
     rule_filter,
@@ -36,10 +37,6 @@ SELECTORS = ("facility_location", "farthest_point", "random")
 # "ner" selects nothing: the one entity counter is `corpus.entity_spans`.
 # The key stays accepted, as "heuristic" or "mock", so existing configs load.
 _BACKEND_KEYS = ("judge", "embedding", "verifier", "ner")
-
-
-def _is_count(n) -> bool:
-    return isinstance(n, int) and not isinstance(n, bool) and n >= 0
 
 
 @dataclass
@@ -108,8 +105,8 @@ class FunnelReport:
         for i, s in enumerate(stages):
             rejections = s.get("rejections", {}) if isinstance(s, dict) else None
             if not (isinstance(rejections, dict) and isinstance(s.get("name"), str)
-                    and all(map(_is_count, (s.get("input_count"), s.get("output_count"),
-                                            *rejections.values())))):
+                    and all(map(is_count, (s.get("input_count"), s.get("output_count"),
+                                           *rejections.values())))):
                 raise ValueError(f"report stage {i} needs a string 'name' and counts "
                                  "that are whole numbers")
             report.stages.append(StageReport(s["name"], s["input_count"], s["output_count"],
@@ -258,7 +255,7 @@ def run_funnel(config: FunnelConfig, open_cache: Callable[[str], DiskCache] = Di
     # Entries look each stage function up when called, so that a wrapper put
     # on this module's name (perfbench/tracing.py) sees the call.
     stages = (
-        ("rule_filter", lambda pool: rule_filter(pool, config.thresholds)),
+        ("rule_filter", lambda pool: rule_filter(pool, config.thresholds, cache)),
         ("difficulty_filter", lambda pool: difficulty_filter(pool, verifier, cache)),
         ("dedup_minhash", lambda pool: dedup_minhash(pool)),
         ("dedup_semantic", lambda pool: dedup_semantic(pool, embedding, cache)),

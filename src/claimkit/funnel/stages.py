@@ -8,25 +8,22 @@ from typing import Iterable, Sequence
 
 from ..backends import (
     Cache,
+    CacheRecordError,
     DecodingParams,
     JudgeBackend,
     JudgeParseError,
     TemplateId,
     VerifierBackend,
+    cache_key,
     difficulty_scores,
     judge_generate_many,
     parse_question_list,
     render_prompt,
 )
+from ..backends.transport import fetch_cached
 # Unused here, but perfbench/tracing.py wraps these module-level names.
 from ..backends import difficulty_score, judge_generate  # noqa: F401
-from ..corpus import (
-    ClaimRecord,
-    count_tokens,
-    entity_count,
-    overlap_with_tokens,
-    tokenize,
-)
+from ..corpus import ClaimRecord, content_overlap, count_tokens, entity_count, token_set
 
 DIFFICULTY_BAND = (0.3, 0.8)
 LONG_EVIDENCE_TOKENS = 3000
@@ -35,6 +32,11 @@ LONG_EVIDENCE_TOKENS = 3000
 def is_number(value) -> bool:
     """A JSON number: an int or a float, but not a bool."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def is_count(value) -> bool:
+    """A JSON whole number >= 0: an int, but not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 class StageError(RuntimeError):
@@ -59,25 +61,68 @@ class RuleThresholds:
                 raise ValueError(f"config threshold {f.name!r} must be a number")
 
 
-def rule_violation(record: ClaimRecord, thresholds: RuleThresholds) -> str | None:
-    """First failing rule for a record, or None when all gates pass.
+# The stats rows' cache namespace. The rows hold counts that the tokenizer,
+# STOPWORDS and `entity_spans` define: a change to any of them must bump it.
+RULE_STATS_NAMESPACE = "rule-stats-v1"
+RULE_STATS_FIELDS = ("evidence_tokens", "content_tokens", "content_hits", "entities")
 
-    Token bounds apply to the concatenated evidence, the same text later
-    stages decompose against. That text is tokenized once; the two length
-    gates and the overlap gate share the token list.
+
+def _rule_stats_row(claim: str, evidence_text: str) -> dict:
+    evidence, n_tokens = token_set(evidence_text)
+    content, hits = content_overlap(claim, evidence)
+    return {"evidence_tokens": n_tokens, "content_tokens": content, "content_hits": hits,
+            "entities": entity_count(claim)}
+
+
+def rule_stats(records: Sequence[ClaimRecord], cache: Cache) -> list[dict]:
+    """For each record, the counts that the rule gates read:
+    `evidence_tokens`, the claim's distinct `content_tokens` and how many of
+    them the evidence holds (`content_hits`), and the claim's `entities`.
+
+    They depend only on the claim and `evidence_text()`, so they are keyed
+    by those two and fetched like embeddings: one `get_many`, the misses
+    computed in one call and stored with one `put_many`. A stored row
+    without every count raises CacheRecordError.
     """
-    if len(record.evidence) < thresholds.min_passages:
+    # The claim's length comes first, so that no two (claim, evidence) pairs
+    # share a key. Requests hold the records, not their evidence texts, so
+    # that no more than one text is alive at a time.
+    keys = [cache_key(RULE_STATS_NAMESPACE, f"{len(rec.claim)}:{rec.claim}{rec.evidence_text()}",
+                      "claimkit") for rec in records]
+    # No backend: the misses are computed in this thread.
+    stored = fetch_cached(None, cache, zip(keys, records),
+                          lambda batch: [_rule_stats_row(rec.claim, rec.evidence_text())
+                                         for rec in batch],
+                          chunk=max(len(keys), 1))
+    for row in stored:
+        if not (isinstance(row, dict) and all(is_count(row.get(f)) for f in RULE_STATS_FIELDS)):
+            raise CacheRecordError("rule-stats", "does not hold every rule count as a "
+                                   "whole number")
+    return stored
+
+
+def _first_violation(passages: int, stats: dict, thresholds: RuleThresholds) -> str | None:
+    if passages < thresholds.min_passages:
         return "too-few-passages"
-    evidence = tokenize(record.evidence_text())
-    if len(evidence) < thresholds.min_evidence_tokens:
+    if stats["evidence_tokens"] < thresholds.min_evidence_tokens:
         return "too-short"
-    if len(evidence) > thresholds.max_evidence_tokens:
+    if stats["evidence_tokens"] > thresholds.max_evidence_tokens:
         return "too-long"
-    if overlap_with_tokens(record.claim, evidence) >= thresholds.max_lexical_overlap:
+    if not stats["content_tokens"]:
+        raise ValueError("claim must be non-empty")
+    if stats["content_hits"] / stats["content_tokens"] >= thresholds.max_lexical_overlap:
         return "high-overlap"
-    if entity_count(record.claim) < thresholds.min_entities:
+    if stats["entities"] < thresholds.min_entities:
         return "too-few-entities"
     return None
+
+
+def rule_violation(record: ClaimRecord, thresholds: RuleThresholds) -> str | None:
+    """First failing rule for a record, or None when all gates pass: the
+    gate of `rule_filter`, on stats computed afresh. Token bounds apply to
+    the concatenated evidence, the text later stages decompose against."""
+    stats = _rule_stats_row(record.claim, record.evidence_text())
+    return _first_violation(len(record.evidence), stats, thresholds)
 
 
 def _partition(outcomes: Iterable[tuple[ClaimRecord, str | None]]) -> tuple[list, list]:
@@ -94,8 +139,14 @@ def _partition(outcomes: Iterable[tuple[ClaimRecord, str | None]]) -> tuple[list
 def rule_filter(
     records: Sequence[ClaimRecord],
     thresholds: RuleThresholds,
+    cache: Cache,
 ) -> tuple[list[ClaimRecord], list[tuple[ClaimRecord, str]]]:
-    return _partition((rec, rule_violation(rec, thresholds)) for rec in records)
+    """Keep the records that pass every rule gate; reject the others with
+    their first failing rule. The stats come through `rule_stats`, and the
+    thresholds are applied after the read, so they stay out of its keys."""
+    stats = rule_stats(records, cache)
+    return _partition((rec, _first_violation(len(rec.evidence), row, thresholds))
+                      for rec, row in zip(records, stats))
 
 
 def difficulty_filter(

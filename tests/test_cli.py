@@ -379,13 +379,22 @@ class TestScoring:
         ("embedding", "vector_f64", ""),
         ("embedding", "vector_f64", "not base64"),
         ("embedding", "vector_f64", 5),
+        ("rule-stats", "content_hits", "3"),
+        ("rule-stats", "entities", None),
     ])
     def test_cached_record_of_the_wrong_shape_is_one_error_line(self, tmp_path, corpus_files,
-                                                                capsys, kind, field, value):
-        claims, traces = self._write_score_inputs(tmp_path, corpus_files)
+                                                                funnel_config, capsys, kind,
+                                                                field, value):
         cache = tmp_path / "c"
-        argv = ["score", "--traces", str(traces), "--claims", str(claims),
-                "--cache-dir", str(cache), "--out", str(tmp_path / "out.jsonl")]
+        if kind == "rule-stats":  # only the funnel's rule gate stores them
+            argv = ["funnel", "run", "--config", str(funnel_config), "--cache-dir", str(cache),
+                    "--out", str(tmp_path / "out.jsonl"), "--report", str(tmp_path / "r.json")]
+            context = "stage rule_filter: "
+        else:
+            claims, traces = self._write_score_inputs(tmp_path, corpus_files)
+            argv = ["score", "--traces", str(traces), "--claims", str(claims),
+                    "--cache-dir", str(cache), "--out", str(tmp_path / "out.jsonl")]
+            context = ""
         assert dispatch(argv) == 0
         with closing(sqlite3.connect(cache / DiskCache.FILE_NAME)) as db, db:
             key, record = next((key, json.loads(blob)) for key, blob in
@@ -397,7 +406,8 @@ class TestScoring:
         for _ in range(2):  # every run, until the cache directory is deleted
             assert dispatch(argv) == 1
             err = capsys.readouterr().err.splitlines()
-            assert len(err) == 1 and err[0].startswith(f"error: cache: a stored {kind} record")
+            assert len(err) == 1 and err[0].startswith(
+                f"error: {context}cache: a stored {kind} record")
             assert err[0].endswith("delete the cache directory and run again")
 
     def test_score_unknown_id_is_usage_error(self, tmp_path, corpus_files):
@@ -564,7 +574,7 @@ class TestFunnelHttpBackends:
         assert code == 0 and http_bytes == mock_bytes
         seen = relay_server.seen
 
-        kept, _ = rule_filter(ingest_claims(corpus_files[0]), RuleThresholds())
+        kept, _ = rule_filter(ingest_claims(corpus_files[0]), RuleThresholds(), MemoryCache())
         assert sorted(seen["verify"]) == sorted({(r.claim, tuple(r.evidence)) for r in kept})
         stages = json.loads((tmp_path / "report-cold.json").read_text())["stages"]
         silver_in = next(s["input_count"] for s in stages if s["name"] == "silver_decompose")
@@ -1052,16 +1062,19 @@ class TestOneFaultOneOutcome:
     see the fault ends the same way as its real run."""
 
     @pytest.mark.parametrize("case, code, line, stage", [
-        ("malformed claims row", 2, "claims.jsonl line 4: missing field 'claim'", None),
-        ("non-UTF-8 byte", 2,
-         f"claims.jsonl line 3: not UTF-8: {NOT_UTF8} 11: invalid continuation byte", None),
-        ("missing input file", 1, "[Errno 2] No such file or directory: 'claims.jsonl'", None),
-        ("duplicate id across input files", 2, "claims.jsonl line 2: duplicate id {id!r}", None),
-        ("fixture row without response", 2,
-         "fx.jsonl line 1: fixture rows need 'digest' and 'response'", None),
-        ("503 from the relay judge", 1,
-         "backend: endpoint {url}judge unreachable: server replied 503", "silver_decompose"),
-    ])
+        pytest.param(*case, id=case[0]) for case in [
+            ("malformed claims row", 2, "claims.jsonl line 4: missing field 'claim'", None),
+            ("non-UTF-8 byte", 2,
+             f"claims.jsonl line 3: not UTF-8: {NOT_UTF8} 11: invalid continuation byte", None),
+            ("missing input file", 1, "[Errno 2] No such file or directory: 'claims.jsonl'",
+             None),
+            ("duplicate id across input files", 2, "claims.jsonl line 2: duplicate id {id!r}",
+             None),
+            ("fixture row without response", 2,
+             "fx.jsonl line 1: fixture rows need 'digest' and 'response'", None),
+            ("503 from the relay judge", 1,
+             "backend: endpoint {url}judge unreachable: server replied 503", "silver_decompose"),
+        ]])
     def test_same_code_and_line(self, tmp_path, corpus_files, relay_server, monkeypatch, capsys,
                                 case, code, line, stage):
         monkeypatch.setattr(transport.time, "sleep", lambda s: None)

@@ -20,6 +20,7 @@ from claimkit.corpus import (
     ingest_claims,
     lexical_overlap,
     read_jsonl,
+    token_set,
     tokenize,
     write_claims,
 )
@@ -179,15 +180,51 @@ class TestTokenize:
                      if chr(cp).isalnum() and unicodedata.category(chr(cp)).startswith("P")]
         assert offenders == []
 
+    def test_lowercasing_keeps_token_boundaries(self):
+        # `token_set` lowercases the whole text before it splits and strips;
+        # that equals lowering each stripped token while these three premises
+        # hold in the running Unicode database.
+        def punct(c):
+            return unicodedata.category(c).startswith("P")
+
+        def breaks_sigma_context(c):
+            # Final sigma is str.lower's only context rule: a capital sigma
+            # after "A" + c is final unless c is neither cased nor case-ignorable.
+            return ("A" + c + "\u03a3").lower().endswith("\u03c3")
+
+        def not_cased_before_sigma(c):
+            # a capital sigma right after c (and nothing else) lowers as non-final
+            return (c + "\u03a3").lower().endswith("\u03c3")
+
+        spaces, punctuation, context = [], [], []
+        for cp in range(0x110000):
+            c = chr(cp)
+            low = c.lower()
+            # 1. whitespace lowers to itself; nothing else lowers to whitespace
+            if low != c if c.isspace() else any(ch.isspace() for ch in low):
+                spaces.append(hex(cp))
+            # 2. punctuation lowers to itself; nothing else lowers to punctuation
+            if low != c if punct(c) else any(map(punct, low)):
+                punctuation.append(hex(cp))
+            # 3. no lowering context reaches across whitespace, nor across the
+            #    punctuation that stripping removes from a token's edges
+            if (c.isspace() and not breaks_sigma_context(c)) or (
+                    punct(c) and not not_cased_before_sigma(c)):
+                context.append(hex(cp))
+        assert (spaces, punctuation, context) == ([], [], [])
+
     @settings(max_examples=400, deadline=None)
     @given(tokenizer_texts)
     @example("")
     @example("... \u00bfQu\u00e9? \u00ab\u00bb a\u0301. \u00b2\u2026 \u2014 $5 (x) \u0661\u0662,")
     @example("\u3001\u4e2d\u6587\u3002 A\u2028B\u3000c")
+    @example("\u039f\u0394\u039f\u03a3. \u0391\u03a3' \u00ab\u03a3\u00bb A \u03a3 \u0130x "
+             "\u03a3\u0391")  # final and non-final capital sigmas
     def test_tokenize_and_count_match_reference(self, text):
         expected = ref_tokenize(text)
         assert tokenize(text) == expected
         assert count_tokens(text) == len(expected)
+        assert token_set(text) == ({t.lower() for t in expected}, len(expected))
 
     @settings(max_examples=400, deadline=None)
     @given(tokenizer_texts)

@@ -55,8 +55,8 @@ from claimkit.funnel import (
     silver_stage,
     stage_seed,
 )
-from claimkit.funnel import select
-from claimkit.funnel.stages import rule_violation
+from claimkit.funnel import select, stages
+from claimkit.funnel.stages import RULE_STATS_NAMESPACE, rule_stats, rule_violation
 from claimkit.mock import HashEmbeddingBackend, HashJudgeBackend
 from claimkit.synthetic import funnel_corpus, holdout_corpus
 
@@ -643,7 +643,7 @@ class TestStages:
                          label=Label.SUPPORTED), "too-few-entities"),
         ]
         records = [good] + [c for c, _ in cases]
-        kept, rejected = rule_filter(records, th)
+        kept, rejected = rule_filter(records, th, MemoryCache())
         assert [r.id for r in kept] == ["g"]
         assert [(r.id, why) for r, why in rejected] == \
             [(c.id, why) for c, why in cases]
@@ -653,7 +653,7 @@ class TestStages:
         long_rec = ClaimRecord(id="L", claim=good.claim,
                                evidence=[("word " * 4000)] * 3,
                                source="s", label=Label.SUPPORTED)
-        _, rejected = rule_filter([long_rec], RuleThresholds())
+        _, rejected = rule_filter([long_rec], RuleThresholds(), MemoryCache())
         assert rejected[0][1] == "too-long"
 
     def test_difficulty_band_inclusive(self):
@@ -793,6 +793,105 @@ class TestRuleViolationDifferential:
             None, "too-few-passages", "too-short", "too-long", "high-overlap",
             "too-few-entities"}
         assert [reasons[id(r)] for r in boundary] == ["too-short", None, None, "too-long"]
+
+
+def differential_records(th):
+    """The corpus, its punctuated variants and padded records at the token
+    bounds: every rule reason, and tokens that strip to nothing."""
+    rng = random.Random(5)
+    base = funnel_corpus()
+    variants = [
+        ClaimRecord(id=r.id, claim=punctuated(r.claim, rng),
+                    evidence=[punctuated(p, rng) for p in r.evidence],
+                    source=r.source, label=r.label)
+        for r in base
+    ]
+    clean = next(r for r in base if rule_violation(r, th) is None)
+    edges = [th.min_evidence_tokens - 1, th.min_evidence_tokens,
+             th.max_evidence_tokens, th.max_evidence_tokens + 1]
+    return base + variants + [padded(clean, n, rng) for n in edges]
+
+
+class TestCachedRuleStats:
+    """`rule_filter` reads each record's stats through the cache; a warm run
+    must reject exactly what the reference gate rejects, at any thresholds."""
+
+    OTHER_THRESHOLDS = [
+        RuleThresholds(min_passages=2, min_evidence_tokens=50, max_evidence_tokens=400,
+                       max_lexical_overlap=0.5, min_entities=1),
+        RuleThresholds(min_passages=4, min_evidence_tokens=300, max_evidence_tokens=20000,
+                       max_lexical_overlap=1.0, min_entities=3),
+    ]
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        return differential_records(RuleThresholds())
+
+    def test_rule_filter_matches_reference_cold_and_warm(self, records):
+        th = RuleThresholds()
+        expected = [ref_rule_violation(r, th, RefEntityCounter()) for r in records]
+        assert set(expected) == {None, "too-few-passages", "too-short", "too-long",
+                                 "high-overlap", "too-few-entities"}
+        cache = MemoryCache()
+        for _ in ("cold", "warm"):
+            kept, rejected = rule_filter(records, th, cache)
+            reasons = {id(r): why for r, why in rejected}
+            assert [reasons.get(id(r)) for r in records] == expected
+            assert [id(r) for r in kept] == [id(r) for r, why in zip(records, expected)
+                                             if why is None]
+
+    def test_warm_run_with_changed_thresholds_equals_cold_run(self, records):
+        cache = MemoryCache()
+        rule_filter(records, RuleThresholds(), cache)
+        for th in self.OTHER_THRESHOLDS:
+            assert rule_filter(records, th, cache) == rule_filter(records, th, MemoryCache())
+
+    def test_rerun_computes_no_stats(self, records, monkeypatch):
+        computed = []
+        row = stages._rule_stats_row
+        monkeypatch.setattr(stages, "_rule_stats_row",
+                            lambda claim, text: computed.append(claim) or row(claim, text))
+        cache = MemoryCache()
+        first = rule_filter(records, RuleThresholds(), cache)
+        assert len(computed) == len({(r.claim, r.evidence_text()) for r in records})
+        computed.clear()
+        assert rule_filter(records, RuleThresholds(), cache) == first
+        rule_filter(records, self.OTHER_THRESHOLDS[0], cache)
+        assert computed == []
+
+    def test_claim_without_tokens_fails_only_at_the_overlap_gate(self):
+        passages = ["word " * 100] * 3
+        tokenless = rec("x", "... \u2014 (!)", evidence=passages)
+        too_short = rec("y", tokenless.claim, evidence=["word"] * 3)
+        cache = MemoryCache()
+        for _ in ("cold", "warm"):
+            assert rule_filter([too_short], RuleThresholds(), cache) == \
+                ([], [(too_short, "too-short")])
+            with pytest.raises(ValueError, match="claim must be non-empty"):
+                rule_filter([tokenless], RuleThresholds(), cache)
+
+    def test_key_tells_claim_from_evidence(self):
+        # Moving text across the claim/evidence boundary keeps
+        # claim + evidence_text() but must change the key.
+        a = rec("a", "Oslo is in Norway", evidence=["Oslo"])
+        b = rec("b", "Oslo is in Norwa", evidence=["yOslo"])
+        alone = rule_stats([a], MemoryCache()) + rule_stats([b], MemoryCache())
+        assert alone[0] != alone[1]
+        assert rule_stats([a, b], MemoryCache()) == alone
+
+    def test_stats_row_is_pinned(self):
+        # Stored rows outlive the code that wrote them. If this row changes,
+        # the tokenizer, STOPWORDS or entity_spans changed, and the namespace
+        # must be bumped with it, so that old rows are not read as new ones.
+        record = rec("g", "The botanist Elena Petrov moved to Oslo, in 1921; \u00abshe\u00bb "
+                          "studied FERNS \u2014 and \u039f\u0394\u039f\u03a3 ferns.",
+                     evidence=["Elena Petrov (1890\u20131960) moved to Oslo.",
+                               "She studied ferns at the institute \u2014 \u2026 "
+                               "\u03bf\u03b4\u03bf\u03c2!",
+                               "Zur\u00cdch? Oslo's ferns, (again)."])
+        assert RULE_STATS_NAMESPACE == "rule-stats-v1"
+        assert rule_stats([record], MemoryCache()) == [
+            {"evidence_tokens": 17, "content_tokens": 9, "content_hits": 7, "entities": 4}]
 
 
 class TestReport:

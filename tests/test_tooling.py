@@ -93,3 +93,22 @@ def test_benchmark_inputs_pass_a_dry_run(tmp_path, monkeypatch, capsys, workload
     for argv in work.argvs(tmp_path / "out", tmp_path / "cache", False):
         assert dispatch(argv + ["--dry-run"]) == 0, capsys.readouterr().err
     assert not (tmp_path / "out").exists() and not (tmp_path / "cache").exists()
+
+
+def test_benchmark_funnel_round_passes_its_checks(tmp_path, monkeypatch):
+    # One round of the `funnel` workload as perfbench/run.py makes it: a cold
+    # pass into an empty cache, then a warm pass on what the cold pass stored.
+    # Each must pass the workload's own checks, and both must write the same bytes.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    work = workloads.WORKLOADS["funnel"](1, tmp_path)
+    work.prepare()
+    written = []
+    for warm in (False, True):
+        outdir = tmp_path / f"pass-{int(warm)}"
+        outdir.mkdir()
+        _, errors = workloads.dispatch_timed(work.argvs(outdir, tmp_path / "cache", warm))
+        assert errors == []
+        assert work.check(outdir) == []
+        written.append([path.read_bytes() for path in work.outputs(outdir)])
+    assert written[0] == written[1]
