@@ -1,11 +1,14 @@
 """Deterministic content-addressed cache for backend responses.
 
-Keys are SHA-256 digests over (template id, rendered prompt, backend id,
-decoding params). `DiskCache` keeps one SQLite database file, in WAL mode,
-under its root directory: one table of (key, JSON text of the record). A
-key is written once, unless its stored text does not parse; the first of
-concurrent writers wins, across threads and processes alike. The whole
-store is read and written in batches, through `get_many` and `put_many`.
+Keys are SHA-256 digests over (template id, payload, backend id, decoding
+params). A judge or embedding key's payload is its rendered prompt or text;
+any other key's payload is the JSON list of the arguments of the call it
+caches, so that no two calls share a key. `DiskCache` keeps one SQLite
+database file, in WAL mode, under its root directory: one table of (key,
+JSON text of the record). A key is written once, unless its stored text
+does not parse; the first of concurrent writers wins, across threads and
+processes alike. The whole store is read and written in batches, through
+`get_many` and `put_many`.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ class DecodingParams:
 
 def cache_key(
     template_id: str,
-    prompt: str,
+    prompt: str | list,
     backend_id: str,
     params: DecodingParams | None = None,
 ) -> str:

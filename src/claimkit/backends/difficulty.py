@@ -58,7 +58,7 @@ def difficulty_scores(records: Sequence[ClaimRecord], verifier: VerifierBackend,
     for record in records:
         if record.label is None:
             raise ValueError(f"record {record.id!r} has no gold label; difficulty needs one")
-        keys.append(cache_key("difficulty", record.claim + "\x00" + record.evidence_text(),
+        keys.append(cache_key("difficulty", [record.claim, record.evidence],
                               verifier.backend_id))
     stored = fetch_cached(
         verifier, cache, zip(keys, records),

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import unicodedata
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -95,10 +96,15 @@ class IngestError(ValueError):
         self.line_no = line_no
 
 
+# A JSON escape of a UTF-16 surrogate, \uD800 to \uDFFF, paired or not.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """(1-based line number, object) for each non-blank line of a JSONL file,
     read one line at a time. A line that is not UTF-8, not JSON or not a JSON
-    object raises IngestError naming the file and that line."""
+    object raises IngestError naming the file and that line, as does one
+    whose escapes decode to an unpaired surrogate, which no UTF-8 text holds."""
     # Undecodable bytes are kept as surrogates, so a bad byte is charged to
     # its own line, not to the line being read when the decoder met it.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
@@ -116,6 +122,13 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                 raise IngestError(path, line_no, f"invalid JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise IngestError(path, line_no, "line is not a JSON object")
+            # `in` finds no backslash at memchr speed, so most lines skip the regex.
+            if "\\" in line and _SURROGATE_ESCAPE.search(line):
+                try:
+                    json.dumps(obj, ensure_ascii=False).encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise IngestError(path, line_no, "not UTF-8: unpaired surrogate escape "
+                                      f"\\u{ord(exc.object[exc.start]):04x}") from None
             yield line_no, obj
 
 

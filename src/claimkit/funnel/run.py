@@ -85,8 +85,7 @@ class FunnelReport:
                     f"{stage.output_count})"
                 )
             rejected = sum(stage.rejections.values())
-            if (stage.name != "augment" and stage.rejections
-                    and stage.input_count - rejected != stage.output_count):
+            if stage.name != "augment" and stage.input_count - rejected != stage.output_count:
                 raise ValueError(
                     f"stage {stage.name!r}: input {stage.input_count} minus "
                     f"{rejected} rejections != output {stage.output_count}"

@@ -84,11 +84,10 @@ def rule_stats(records: Sequence[ClaimRecord], cache: Cache) -> list[dict]:
     computed in one call and stored with one `put_many`. A stored row
     without every count raises CacheRecordError.
     """
-    # The claim's length comes first, so that no two (claim, evidence) pairs
-    # share a key. Requests hold the records, not their evidence texts, so
-    # that no more than one text is alive at a time.
-    keys = [cache_key(RULE_STATS_NAMESPACE, f"{len(rec.claim)}:{rec.claim}{rec.evidence_text()}",
-                      "claimkit") for rec in records]
+    # Requests hold the records, not their evidence texts, so that no more
+    # than one text is alive at a time.
+    keys = [cache_key(RULE_STATS_NAMESPACE, [rec.claim, rec.evidence_text()], "claimkit")
+            for rec in records]
     # No backend: the misses are computed in this thread.
     stored = fetch_cached(None, cache, zip(keys, records),
                           lambda batch: [_rule_stats_row(rec.claim, rec.evidence_text())
@@ -117,14 +116,6 @@ def _first_violation(passages: int, stats: dict, thresholds: RuleThresholds) -> 
     return None
 
 
-def rule_violation(record: ClaimRecord, thresholds: RuleThresholds) -> str | None:
-    """First failing rule for a record, or None when all gates pass: the
-    gate of `rule_filter`, on stats computed afresh. Token bounds apply to
-    the concatenated evidence, the text later stages decompose against."""
-    stats = _rule_stats_row(record.claim, record.evidence_text())
-    return _first_violation(len(record.evidence), stats, thresholds)
-
-
 def _partition(outcomes: Iterable[tuple[ClaimRecord, str | None]]) -> tuple[list, list]:
     """Kept records (reason None) and (record, reason) rejections, in order."""
     kept, rejected = [], []
@@ -142,8 +133,10 @@ def rule_filter(
     cache: Cache,
 ) -> tuple[list[ClaimRecord], list[tuple[ClaimRecord, str]]]:
     """Keep the records that pass every rule gate; reject the others with
-    their first failing rule. The stats come through `rule_stats`, and the
-    thresholds are applied after the read, so they stay out of its keys."""
+    their first failing rule. Token bounds apply to the concatenated
+    evidence, the text later stages decompose against. The stats come
+    through `rule_stats`, and the thresholds are applied after the read, so
+    they stay out of its keys."""
     stats = rule_stats(records, cache)
     return _partition((rec, _first_violation(len(rec.evidence), row, thresholds))
                       for rec, row in zip(records, stats))

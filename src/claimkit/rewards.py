@@ -461,37 +461,29 @@ def _score(record: ClaimRecord, report: ParseReport, mode: SupervisionMode,
     else:
         joint_pq, joint = [], 0.0
 
-    if isinstance(mode, Labeled):
-        ver = float(verification_reward(report.verdict, mode.gold))
-        if answers:
-            cov = float(coverage_reward(record.claim, answers, mode.gold, bk, flags))
-            nec_pq, nec = necessity_reward(record.claim, answers, mode.gold, bk)
-        else:
-            cov, nec_pq, nec = 0.0, [], 0.0
-            flags.append("no-answers")
-        pseudo = None
-        mode_name = "labeled"
+    labeled = isinstance(mode, Labeled)
+    reference = mode.gold if labeled else mode.pseudo
+    ver = float(verification_reward(report.verdict, mode.gold)) if labeled else 0.0
+    if reference is not None and answers:
+        cov = float(coverage_reward(record.claim, answers, reference, bk, flags))
     else:
-        ver = 0.0  # dropped on the unlabeled path
-        pseudo = mode.pseudo
-        if pseudo is not None and answers:
-            cov = float(coverage_reward(record.claim, answers, pseudo, bk, flags))
-        else:
-            cov = 0.0
-            if pseudo is None:
-                flags.append("no-pseudo-label")
-        if answers:
-            nec_pq, nec = necessity_reward_relative(record.claim, answers, bk)
-        else:
-            nec_pq, nec = [], 0.0
-            flags.append("no-answers")
-        mode_name = "unlabeled"
+        cov = 0.0
+        if reference is None:  # only an unlabeled rollout lacks one
+            flags.append("no-pseudo-label")
+    if not answers:
+        nec_pq, nec = [], 0.0
+        flags.append("no-answers")
+    elif labeled:
+        nec_pq, nec = necessity_reward(record.claim, answers, mode.gold, bk)
+    else:
+        nec_pq, nec = necessity_reward_relative(record.claim, answers, bk)
 
     total = fmt + ver + qc + div + cov + nec + joint
     return RewardBreakdown(
         fmt=fmt, ver=ver, qc=qc, div=div, cov=cov, nec=nec, joint=joint,
         total=total, nec_per_question=nec_pq, joint_per_question=joint_pq,
-        mode=mode_name, pseudo_label=pseudo, flags=flags,
+        mode="labeled" if labeled else "unlabeled",
+        pseudo_label=None if labeled else reference, flags=flags,
     )
 
 

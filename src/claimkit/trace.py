@@ -85,12 +85,9 @@ def parse_trace(text: str) -> ParseReport:
     tag_tokens = list(_TAG_TOKEN.finditer(text))
 
     # Well-nested: every known tag token belongs to exactly one matched,
-    # non-overlapping block, and no known tag token sits inside a block body.
-    consumed = 2 * len(blocks)
-    inner_tokens = 0
-    for name, body, _, _ in blocks:
-        inner_tokens += len(_TAG_TOKEN.findall(body))
-    well_nested = bool(blocks) and len(tag_tokens) == consumed and inner_tokens == 0
+    # non-overlapping block. Each block's own two tags are tag tokens, so a
+    # tag token inside a block body would be one more than twice the blocks.
+    well_nested = bool(blocks) and len(tag_tokens) == 2 * len(blocks)
 
     thinks = [(body, start) for name, body, start, _ in blocks if name == "think"]
     questions = [(body, start) for name, body, start, _ in blocks if name == "question"]

@@ -116,6 +116,14 @@ class TestCache:
         assert cache_key("t", "p", "b", DecodingParams(seed=7)) != base
         assert cache_key("t", "p", "b", params) == base
 
+    def test_judge_and_embedding_keys_are_pinned(self):
+        # Stored judge and embedding rows are the costly ones to fetch again,
+        # so their keys must keep their bytes across releases.
+        assert cache_key("coverage_verdict", "prompt text", "mock-judge", DecodingParams()) == \
+            "83308d4249af05ea7a26407a2d35f0470c2eefc8c86376f072a6683a2e74152b"
+        assert cache_key("embedding-f64", "a question?", "mock-embedding") == \
+            "c866c7a4433ed19d089f6d73a7ff2ab35215f79c44dc4068f69d4438e7eb84a5"
+
     def test_disk_round_trip(self, tmp_path):
         key = cache_key("t", "p", "b")
         with DiskCache(tmp_path / "c") as cache:
@@ -735,11 +743,36 @@ class TestDifficulty:
     @pytest.mark.parametrize("stored", [{}, {"p_supported": "0.5"}, {"p_supported": 1.5},
                                         {"p_supported": None}, {"p_supported": False}])
     def test_stored_record_without_a_probability_is_a_cache_record_error(self, stored):
-        rec, cache = self._record(Label.SUPPORTED), MemoryCache()
-        cache.put(cache_key("difficulty", rec.claim + "\x00" + rec.evidence_text(),
-                            HashVerifierBackend.backend_id), stored)
+        class Holding(MemoryCache):
+            def get_many(self, keys):
+                return {key: stored for key in keys}
+
         with pytest.raises(CacheRecordError, match="^cache: a stored difficulty record "):
-            difficulty_score(rec, HashVerifierBackend(), cache)
+            difficulty_score(self._record(Label.SUPPORTED), HashVerifierBackend(), Holding())
+
+    @pytest.mark.parametrize("a, b", [
+        pytest.param(("a", ["b\x00c"]), ("a\x00b", ["c"]), id="NUL"),
+        pytest.param(("x", ["a b", "c"]), ("x", ["a", "b c"]), id="passage boundary"),
+    ])
+    def test_records_whose_texts_join_alike_get_their_own_answer(self, tmp_path, a, b):
+        # Each pair's claim and evidence used to be joined into one key text,
+        # so a cache that one record filled answered for the other.
+        answers = {(a[0], tuple(a[1])): 0.9, (b[0], tuple(b[1])): 0.2}
+
+        class ByRequest:
+            backend_id = "by-request"
+
+            def probability_supported(self, claim, evidence):
+                return answers[claim, tuple(evidence)]
+
+        records = [ClaimRecord(id=claim, claim=claim, evidence=evidence, source="s",
+                               label=Label.SUPPORTED) for claim, evidence in (a, b)]
+        assert difficulty_scores(records, ByRequest(), MemoryCache()) == [0.9, 0.2]
+        for i, (rec, other) in enumerate([records, records[::-1]]):
+            with DiskCache(tmp_path / f"c{i}") as cache:
+                difficulty_scores([other], ByRequest(), cache)
+                assert difficulty_scores([rec], ByRequest(), cache) == difficulty_scores(
+                    [rec], ByRequest(), MemoryCache())
 
     def test_fixture_verifier(self, tmp_path):
         path = tmp_path / "p.jsonl"

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import sqlite3
 import subprocess
 import sys
@@ -167,20 +168,24 @@ class TestFunnelCommands:
         assert code == 0
         assert not out.exists()
 
-    @pytest.mark.parametrize("body, line", [
-        ({}, "error: report is not a JSON object with a 'stages' array"),
-        ([], "error: report is not a JSON object with a 'stages' array"),
-        ({"stages": [5]}, "error: report stage 0 needs a string 'name' and counts that are "
-                          "whole numbers"),
-        ({"stages": [{"name": "a", "input_count": 5, "output_count": 5},
-                     {"name": "b", "output_count": 3}]},
-         "error: report stage 1 needs a string 'name' and counts that are whole numbers"),
-        ({"stages": [{"name": "a", "input_count": "5", "output_count": 3}]},
+    @pytest.mark.parametrize("body, line", [pytest.param(*case[1:], id=case[0]) for case in [
+        ("empty object", {}, "error: report is not a JSON object with a 'stages' array"),
+        ("array", [], "error: report is not a JSON object with a 'stages' array"),
+        ("stage not an object", {"stages": [5]},
          "error: report stage 0 needs a string 'name' and counts that are whole numbers"),
-        ({"stages": [{"name": "a", "input_count": 5, "output_count": 3,
-                      "rejections": {"too-short": 1}}]},
+        ("stage missing a count", {"stages": [{"name": "a", "input_count": 5,
+                                               "output_count": 5},
+                                              {"name": "b", "output_count": 3}]},
+         "error: report stage 1 needs a string 'name' and counts that are whole numbers"),
+        ("count a string", {"stages": [{"name": "a", "input_count": "5", "output_count": 3}]},
+         "error: report stage 0 needs a string 'name' and counts that are whole numbers"),
+        ("rejections short", {"stages": [{"name": "a", "input_count": 5, "output_count": 3,
+                                          "rejections": {"too-short": 1}}]},
          "error: stage 'a': input 5 minus 1 rejections != output 3"),
-    ])
+        ("drop without rejections", {"stages": [{"name": "rule_filter", "input_count": 10,
+                                                 "output_count": 5, "rejections": {}}]},
+         "error: stage 'rule_filter': input 10 minus 0 rejections != output 5"),
+    ]])
     def test_malformed_report_is_one_error_line(self, tmp_path, capsys, body, line):
         report = tmp_path / "r.json"
         report.write_text(json.dumps(body))
@@ -1017,6 +1022,9 @@ def _fault_sides(case, tmp_path, claims, relay_server):
     scored = {"scored.jsonl": [json.dumps(dict(row, silver_question_count=2)) for row in rows],
               "traces.jsonl": [json.dumps({"id": row["id"], "trace": VALID_TRACE.format(
                   verdict="Supported")}) for row in rows]}
+    # The third claim ends in the JSON escape of a lone surrogate.
+    surrogate = {"claims.jsonl": scored["scored.jsonl"][:2] + [json.dumps(
+        dict(rows[2], claim=rows[2]["claim"] + "\ud800", silver_question_count=2))]}
     dedup = ["dedup", "--claims", "claims.jsonl"]
     score = ["score", "--claims", "scored.jsonl", "--traces", "traces.jsonl", "--judge"]
     judge_url = relay_server.url + "judge"
@@ -1029,6 +1037,12 @@ def _fault_sides(case, tmp_path, claims, relay_server):
             {"claims.jsonl": lines[:2] + [json.dumps(dict(rows[2], id="Café"),
                                                      ensure_ascii=False)]},
             {"inputs": ["claims.jsonl"]}, None, dedup),
+        "unpaired surrogate escape (dedup)": (surrogate, {"inputs": ["claims.jsonl"]}, None,
+                                              dedup),
+        "unpaired surrogate escape (score)": (
+            surrogate, {"inputs": ["claims.jsonl"]},
+            dict(surrogate, **{"traces.jsonl": scored["traces.jsonl"]}),
+            ["score", "--claims", "claims.jsonl", "--traces", "traces.jsonl"]),
         "missing input file": ({}, {"inputs": ["claims.jsonl"]}, None, dedup),
         # the funnel meets the id again in a later file, `dedup` later in its one file
         "duplicate id across input files": (
@@ -1066,6 +1080,10 @@ class TestOneFaultOneOutcome:
             ("malformed claims row", 2, "claims.jsonl line 4: missing field 'claim'", None),
             ("non-UTF-8 byte", 2,
              f"claims.jsonl line 3: not UTF-8: {NOT_UTF8} 11: invalid continuation byte", None),
+            ("unpaired surrogate escape (dedup)", 2,
+             "claims.jsonl line 3: not UTF-8: unpaired surrogate escape \\ud800", None),
+            ("unpaired surrogate escape (score)", 2,
+             "claims.jsonl line 3: not UTF-8: unpaired surrogate escape \\ud800", None),
             ("missing input file", 1, "[Errno 2] No such file or directory: 'claims.jsonl'",
              None),
             ("duplicate id across input files", 2, "claims.jsonl line 2: duplicate id {id!r}",
@@ -1105,6 +1123,41 @@ class TestFaultAndRerun:
     in the clean run's bytes and asks only for what the failed run did not
     get, each item once."""
 
+    @staticmethod
+    def _items(requests):
+        return ([("judge", prompt) for prompt in requests["judge"]]
+                + [("embed", text) for batch in requests["embed"] for text in batch]
+                + [("verify", pair) for pair in requests["verify"]])
+
+    def _sweep(self, tmp_path, relay_server, capsys, argv, outputs, error):
+        """Fail argv(cache) at each distinct item of its clean run, then rerun
+        it; outputs are the files it writes, and error a pattern that the
+        failed run's one line starts with. Returns the clean run's items."""
+        def run(cache):
+            for requests in (*relay_server.seen.values(), *relay_server.served.values()):
+                requests.clear()
+            for out in outputs:
+                (tmp_path / out).unlink(missing_ok=True)
+            code = dispatch(argv(str(tmp_path / cache)))
+            return code, capsys.readouterr().err.splitlines()
+
+        assert run("clean") == (0, [])
+        clean_bytes = [(tmp_path / out).read_bytes() for out in outputs]
+        clean = list(dict.fromkeys(self._items(relay_server.seen)))
+        for k, (kind, item) in enumerate(clean):
+            relay_server.fault = {item: RELAY_FAULTS[k % len(RELAY_FAULTS)]}
+            code, err = run(f"c{k}")
+            assert code == 1 and len(err) == 1 and re.match(error, err[0]), (kind, err)
+            assert not any((tmp_path / out).exists() for out in outputs)
+            got = set(self._items(relay_server.served))
+
+            relay_server.fault = {}
+            assert run(f"c{k}") == (0, [])
+            assert [(tmp_path / out).read_bytes() for out in outputs] == clean_bytes
+            asked = self._items(relay_server.seen)
+            assert sorted(asked) == sorted(set(clean) - got)
+        return clean
+
     def test_score_group_fails_at_each_item_and_resumes(self, tmp_path, corpus_files,
                                                          relay_server, monkeypatch, capsys):
         monkeypatch.setattr(transport.time, "sleep", lambda s: None)
@@ -1113,33 +1166,27 @@ class TestFaultAndRerun:
         traces = _write_lines(tmp_path / "traces.jsonl", [json.dumps(
             {"id": rec.id, "trace": VALID_TRACE.format(verdict=verdict)})
             for rec in records for verdict in ("Supported", "Refuted")])
-
-        def run(cache, out):
-            for requests in (*relay_server.seen.values(), *relay_server.served.values()):
-                requests.clear()
-            code = dispatch(["score-group", "--claims", str(tmp_path / "claims.jsonl"),
-                             "--traces", traces, "--judge", relay_server.url + "judge",
-                             "--embedding", relay_server.url + "embed",
-                             "--cache-dir", str(tmp_path / cache), "--out", str(tmp_path / out)])
-            return code, capsys.readouterr().err.splitlines()
-
-        def items(requests):
-            return ([("judge", prompt) for prompt in requests["judge"]]
-                    + [("embed", text) for batch in requests["embed"] for text in batch])
-
-        assert run("clean", "clean.jsonl") == (0, [])
-        clean = list(dict.fromkeys(items(relay_server.seen)))
+        clean = self._sweep(tmp_path, relay_server, capsys, lambda cache: [
+            "score-group", "--claims", str(tmp_path / "claims.jsonl"), "--traces", traces,
+            "--judge", relay_server.url + "judge", "--embedding", relay_server.url + "embed",
+            "--cache-dir", cache, "--out", str(tmp_path / "out.jsonl")],
+            ["out.jsonl"], "error: backend: ")
         assert len(clean) > 10
-        for k, (kind, item) in enumerate(clean):
-            relay_server.fault = {item: RELAY_FAULTS[k % len(RELAY_FAULTS)]}
-            code, err = run(f"c{k}", f"out{k}.jsonl")
-            assert code == 1 and len(err) == 1 and err[0].startswith("error: backend:")
-            assert not (tmp_path / f"out{k}.jsonl").exists()
-            got = set(items(relay_server.served))
 
-            relay_server.fault = {}
-            assert run(f"c{k}", f"out{k}.jsonl") == (0, [])
-            assert (tmp_path / f"out{k}.jsonl").read_bytes() == (
-                tmp_path / "clean.jsonl").read_bytes()
-            asked = items(relay_server.seen)
-            assert sorted(asked) == sorted(set(clean) - got)
+    def test_funnel_run_fails_at_each_item_and_resumes(self, tmp_path, corpus_files,
+                                                       relay_server, monkeypatch, capsys):
+        monkeypatch.setattr(transport.time, "sleep", lambda s: None)
+        records = ingest_claims(corpus_files[0])[:20]
+        write_claims(records, tmp_path / "claims.jsonl")
+        write_claims(holdout_corpus(records, collisions=2, fresh=2), tmp_path / "hold.jsonl")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "inputs": [str(tmp_path / "claims.jsonl")], "holdouts": [str(tmp_path / "hold.jsonl")],
+            "budget": 2, "backends": {"judge": relay_server.url + "judge",
+                                      "embedding": relay_server.url + "embed",
+                                      "verifier": relay_server.url + "verify"}}))
+        clean = self._sweep(tmp_path, relay_server, capsys, lambda cache: [
+            "funnel", "run", "--config", str(config), "--cache-dir", cache,
+            "--out", str(tmp_path / "out.jsonl"), "--report", str(tmp_path / "r.json")],
+            ["out.jsonl", "r.json"], r"error: stage \w+: backend: ")
+        assert {kind for kind, _ in clean} == {"judge", "embed", "verify"}

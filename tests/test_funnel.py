@@ -56,7 +56,7 @@ from claimkit.funnel import (
     stage_seed,
 )
 from claimkit.funnel import select, stages
-from claimkit.funnel.stages import RULE_STATS_NAMESPACE, rule_stats, rule_violation
+from claimkit.funnel.stages import RULE_STATS_NAMESPACE, rule_stats
 from claimkit.mock import HashEmbeddingBackend, HashJudgeBackend
 from claimkit.synthetic import funnel_corpus, holdout_corpus
 
@@ -769,30 +769,21 @@ def padded(record, n_tokens, rng):
 
 class TestRuleViolationDifferential:
     def test_matches_reference_on_corpus_and_punctuated_variants(self):
-        rng = random.Random(5)
         th = RuleThresholds()
-        base = funnel_corpus()
-        variants = [
-            ClaimRecord(id=r.id, claim=punctuated(r.claim, rng),
-                        evidence=[punctuated(p, rng) for p in r.evidence],
-                        source=r.source, label=r.label)
-            for r in base
-        ]
-        clean = next(r for r in base if rule_violation(r, th) is None)
-        edges = [th.min_evidence_tokens - 1, th.min_evidence_tokens,
-                 th.max_evidence_tokens, th.max_evidence_tokens + 1]
-        boundary = [padded(clean, n, rng) for n in edges]
-        reasons = {}
-        for record in base + variants + boundary:
-            reason = rule_violation(record, th)
-            assert reason == ref_rule_violation(record, th, RefEntityCounter()), record.id
+        records = differential_records(th)
+        _, rejected = rule_filter(records, th, MemoryCache())
+        reasons = {id(r): why for r, why in rejected}
+        for record in records:
+            assert reasons.get(id(record)) == ref_rule_violation(record, th, RefEntityCounter()), \
+                record.id
             assert lexical_overlap(record.claim, record.evidence_text()) == \
                 ref_lexical_overlap(record.claim, record.evidence_text()), record.id
-            reasons[id(record)] = reason
-        assert {reasons[id(r)] for r in variants} == {
+        n = (len(records) - 4) // 2  # the corpus, as many variants, 4 padded records
+        assert {reasons.get(id(r)) for r in records[n:2 * n]} == {
             None, "too-few-passages", "too-short", "too-long", "high-overlap",
             "too-few-entities"}
-        assert [reasons[id(r)] for r in boundary] == ["too-short", None, None, "too-long"]
+        assert [reasons.get(id(r)) for r in records[2 * n:]] == \
+            ["too-short", None, None, "too-long"]
 
 
 def differential_records(th):
@@ -806,7 +797,7 @@ def differential_records(th):
                     source=r.source, label=r.label)
         for r in base
     ]
-    clean = next(r for r in base if rule_violation(r, th) is None)
+    clean = rule_filter(base, th, MemoryCache())[0][0]  # first kept
     edges = [th.min_evidence_tokens - 1, th.min_evidence_tokens,
              th.max_evidence_tokens, th.max_evidence_tokens + 1]
     return base + variants + [padded(clean, n, rng) for n in edges]
@@ -910,7 +901,8 @@ class TestReport:
         with pytest.raises(ValueError):
             report.validate_chain()
         report2 = FunnelReport()
-        report2.add("select", 5, 3)
+        report2.add("select", 5, 3, [(rec("x", "c"), "not-selected"),
+                                     (rec("y", "c"), "not-selected")])
         report2.add("augment", 3, 4)
         report2.validate_chain()
 

@@ -95,14 +95,10 @@ def test_benchmark_inputs_pass_a_dry_run(tmp_path, monkeypatch, capsys, workload
     assert not (tmp_path / "out").exists() and not (tmp_path / "cache").exists()
 
 
-def test_benchmark_funnel_round_passes_its_checks(tmp_path, monkeypatch):
-    # One round of the `funnel` workload as perfbench/run.py makes it: a cold
-    # pass into an empty cache, then a warm pass on what the cold pass stored.
-    # Each must pass the workload's own checks, and both must write the same bytes.
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    workloads = importlib.import_module("workloads")
-    work = workloads.WORKLOADS["funnel"](1, tmp_path)
-    work.prepare()
+def _cold_then_warm(workloads, work, tmp_path):
+    """One round as perfbench/run.py makes it: a cold pass into an empty cache,
+    then a warm pass on what the cold pass stored. Each must pass the
+    workload's own checks, and both must write the same bytes."""
     written = []
     for warm in (False, True):
         outdir = tmp_path / f"pass-{int(warm)}"
@@ -112,3 +108,25 @@ def test_benchmark_funnel_round_passes_its_checks(tmp_path, monkeypatch):
         assert work.check(outdir) == []
         written.append([path.read_bytes() for path in work.outputs(outdir)])
     assert written[0] == written[1]
+
+
+def test_benchmark_funnel_round_passes_its_checks(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    work = workloads.WORKLOADS["funnel"](1, tmp_path)
+    work.prepare()
+    _cold_then_warm(workloads, work, tmp_path)
+
+
+def test_benchmark_score_round_passes_its_checks(tmp_path, monkeypatch):
+    # Both supervision modes, against the benchmark's own loopback judge,
+    # which runs in its own process until the `with` block ends.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    workloads = importlib.import_module("workloads")
+    run = importlib.import_module("run")
+    work = workloads.WORKLOADS["score"](1, tmp_path)
+    work.prepare()
+    with run.JudgeServer() as judge:
+        work.judge_url = judge.url
+        _cold_then_warm(workloads, work, tmp_path)
