@@ -198,28 +198,26 @@ class DiskCache:
 
     def put_many(self, items: Iterable[tuple[str, dict]]) -> dict[str, dict]:
         """`put` for many (key, record) pairs in one transaction; returns
-        {key: stored record}."""
+        {key: stored record}. It reads the given keys first, inserts the
+        absent ones, rewrites the stored text that does not parse, and reads
+        back no row it wrote."""
         blobs = {key: json.dumps(record, sort_keys=True, ensure_ascii=False)
                  for key, record in items}
         if not blobs:
             return {}
-        stored: dict[str, dict] = {}
         with self._locked(), self._db:  # commits, or rolls back on an exception
             # IMMEDIATE takes the write lock before anything is read, so no
-            # other writer comes between the insert, the read-back and the
-            # rewrite of a row that does not parse.
+            # other writer comes between the read and the writes.
             self._db.execute("BEGIN IMMEDIATE")
-            self._db.executemany("INSERT INTO responses VALUES (?, ?) ON CONFLICT DO NOTHING",
-                                 blobs.items())
             found = self._select(list(blobs))
-            rewrite = []
-            for key, blob in blobs.items():
-                stored[key] = _parse(found[key])
-                if stored[key] is None:
-                    rewrite.append((blob, key))
-                    stored[key] = json.loads(blob)
-            self._db.executemany("UPDATE responses SET blob = ? WHERE key = ?", rewrite)
-        return stored
+            stored = {key: record for key, blob in found.items()
+                      if (record := _parse(blob)) is not None}
+            self._db.executemany("INSERT INTO responses VALUES (?, ?)",
+                                 [(key, blob) for key, blob in blobs.items() if key not in found])
+            self._db.executemany("UPDATE responses SET blob = ? WHERE key = ?",
+                                 [(blobs[key], key) for key in found if key not in stored])
+        return {key: stored[key] if key in stored else json.loads(blob)
+                for key, blob in blobs.items()}
 
 
 class MemoryCache:

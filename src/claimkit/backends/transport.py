@@ -5,8 +5,10 @@ send and the reply field they read, so each is a one-method subclass of
 `HttpBackend` or `FixtureBackend`. Backend ids are `http:<endpoint>` and
 `fixture:<file name>`; cache keys include them, so they must not change.
 All three reach the cache through one function, `fetch_cached`, which
-returns one stored record per request, in request order. HTTP calls use the
-standard library's `urllib.request`, imported on the first call.
+returns one stored record per request, in request order. It stores an
+HTTP backend's replies as each call returns, and any other backend's with
+one cache transaction per fetch. HTTP calls use the standard library's
+`urllib.request`, imported on the first call.
 """
 
 from __future__ import annotations
@@ -162,12 +164,16 @@ def fetch_cached(backend: object, cache: Cache, requests: Iterable[tuple[str, An
 
     The distinct keys are read from the cache with one `get_many`. The misses
     go to `call` in request order, `chunk` at a time; it returns one record
-    per request, and each call's records are stored under their keys
-    (single-flight) with one `put_many` as the call returns, always from
-    this thread. An `HttpBackend` gets up to MAX_IN_FLIGHT calls at once,
-    any other backend one at a time. After a failed call no further call
+    per request, and each record is stored under its key (single-flight),
+    always from this thread. An `HttpBackend` gets up to MAX_IN_FLIGHT calls
+    at once, and each call's records are stored with one `put_many` as the
+    call returns, so the replies of a slow server survive a killed process.
+    Any other backend is called one call at a time, and all its calls'
+    records are stored with one `put_many` once the last call returns, so a
+    killed process keeps none of them. After a failed call no further call
     starts, the calls in flight finish, every finished call's records are
-    stored, and the earliest failure in request order is raised.
+    stored, and then the earliest failure in request order is raised; a
+    store that fails raises its OSError instead.
     """
     pairs = list(requests)
     wanted: dict[str, Any] = {}  # cache key -> request, in first-seen order
@@ -199,6 +205,11 @@ def fetch_cached(backend: object, cache: Cache, requests: Iterable[tuple[str, An
             if not future.cancelled() and future.exception() is not None:
                 raise future.exception()
     else:
-        for batch in batches:
-            records.update(cache.put_many(fetch(batch).items()))
+        fetched: dict[str, dict] = {}
+        try:
+            for batch in batches:
+                fetched.update(fetch(batch))
+        finally:  # after a failed call too, so every finished call is stored
+            if fetched:
+                records.update(cache.put_many(fetched.items()))
     return [records[key] for key, _ in pairs]

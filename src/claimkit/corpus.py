@@ -100,6 +100,18 @@ class IngestError(ValueError):
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
+def _surrogate_fault(text: str, obj) -> str | None:
+    """The fault of a JSON text whose escapes decode, in `obj`, to an
+    unpaired surrogate, which no UTF-8 text holds; None if there is none."""
+    # `in` finds no backslash at memchr speed, so most texts skip the regex.
+    if "\\" in text and _SURROGATE_ESCAPE.search(text):
+        try:
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            return f"not UTF-8: unpaired surrogate escape \\u{ord(exc.object[exc.start]):04x}"
+    return None
+
+
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """(1-based line number, object) for each non-blank line of a JSONL file,
     read one line at a time. A line that is not UTF-8, not JSON or not a JSON
@@ -122,24 +134,24 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                 raise IngestError(path, line_no, f"invalid JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise IngestError(path, line_no, "line is not a JSON object")
-            # `in` finds no backslash at memchr speed, so most lines skip the regex.
-            if "\\" in line and _SURROGATE_ESCAPE.search(line):
-                try:
-                    json.dumps(obj, ensure_ascii=False).encode("utf-8")
-                except UnicodeEncodeError as exc:
-                    raise IngestError(path, line_no, "not UTF-8: unpaired surrogate escape "
-                                      f"\\u{ord(exc.object[exc.start]):04x}") from None
+            if fault := _surrogate_fault(line, obj):
+                raise IngestError(path, line_no, fault)
             yield line_no, obj
 
 
 def read_json(path: str | Path):
     """The JSON value a whole file holds; a file that is not UTF-8 or not
-    JSON raises ValueError naming it."""
+    JSON, or whose escapes decode to an unpaired surrogate, raises
+    ValueError naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
+        obj = json.loads(text)
     except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
         raise ValueError(f"{path}: {exc}") from None
+    if fault := _surrogate_fault(text, obj):
+        raise ValueError(f"{path}: {fault}")
+    return obj
 
 
 def ingest_claims(*paths: str | Path) -> list[ClaimRecord]:

@@ -295,6 +295,29 @@ class TestCache:
                 assert _rows(tmp_path / "c") == [(key, '{"response": "again"}'),
                                                  (other, '{"response": "kept"}')]
 
+    def test_put_many_reads_first_and_writes_only_what_it_must(self, tmp_path):
+        # A row that parses is kept, one that does not is rewritten in place,
+        # an absent key is appended, and no row is read back once written.
+        stored, broken, new_a, new_b = (cache_key("t", p, "b") for p in ("s", "x", "a", "b"))
+        with DiskCache(tmp_path / "c") as cache:
+            cache.put_many([(stored, {"response": "kept"}), (broken, {"response": "old"})])
+            with closing(sqlite3.connect(tmp_path / "c" / DiskCache.FILE_NAME)) as db, db:
+                db.execute("UPDATE responses SET blob = '{\"resp' WHERE key = ?", (broken,))
+            statements = []
+            cache._db.set_trace_callback(statements.append)
+            got = cache.put_many([(new_a, {"response": "a"}), (stored, {"response": "lost"}),
+                                  (broken, {"response": "mended"}), (new_b, {"response": "b"})])
+            cache._db.set_trace_callback(None)
+        assert list(got.items()) == [(new_a, {"response": "a"}), (stored, {"response": "kept"}),
+                                     (broken, {"response": "mended"}),
+                                     (new_b, {"response": "b"})]
+        with closing(sqlite3.connect(tmp_path / "c" / DiskCache.FILE_NAME)) as db:
+            rows = db.execute("SELECT rowid, key, blob FROM responses ORDER BY rowid").fetchall()
+        assert rows == [(1, stored, '{"response": "kept"}'), (2, broken, '{"response": "mended"}'),
+                        (3, new_a, '{"response": "a"}'), (4, new_b, '{"response": "b"}')]
+        verbs = [statement.split()[0] for statement in statements]
+        assert verbs.count("SELECT") == 1 and verbs.index("SELECT") < verbs.index("INSERT")
+
     @pytest.mark.parametrize("fault", CACHE_FAULTS)
     def test_unopenable_cache_is_os_error_naming_the_path(self, tmp_path, fault):
         root = tmp_path / "c"
@@ -368,14 +391,37 @@ class TestJudgePlumbing:
         replies = judge_generate_many(Counting(), requests, params, cache)
         assert calls == ["b", "a", "b"]  # in request order; ("u", "b") is another cache key
         assert len(gets) == 1 and len(gets[0]) == len(set(gets[0])) == 4  # one read, each key once
-        # each call's record stored as it returns, with one put_many
-        assert puts == [[cache_key(t, prompt, "counting", params)]
-                        for t, prompt in (("t", "b"), ("t", "a"), ("u", "b"))]
+        # a local backend's records all stored once its last call returns,
+        # with one put_many, in request order
+        assert puts == [[cache_key(t, prompt, "counting", params)
+                         for t, prompt in (("t", "b"), ("t", "a"), ("u", "b"))]]
         # one reply per request, in request order, duplicates included
         assert replies == ["reply to b", "reply to a", "reply to b", "stored", "reply to b",
                            "reply to a"]
         assert judge_generate(Counting(), "a", params, cache, template_id="t") == "reply to a"
         assert len(calls) == 3
+
+    def test_generate_many_over_http_stores_each_call_as_it_returns(self, judge_server):
+        puts, threads = [], set()
+
+        class CountingCache(MemoryCache):
+            def put_many(self, items):
+                items = list(items)
+                puts.append([key for key, _ in items])
+                threads.add(threading.get_ident())
+                return super().put_many(items)
+
+        cache, params = CountingCache(), DecodingParams()
+        backend = HttpJudgeBackend(judge_server.url)
+        cache.put(cache_key("t", "hit", backend.backend_id, params), {"response": "stored"})
+        requests = [("t", "b"), ("t", "a"), ("t", "b"), ("t", "hit"), ("t", "c")]
+        replies = judge_generate_many(backend, requests, params, cache)
+        assert sorted(judge_server.prompts) == ["a", "b", "c"]
+        # one put_many per finished call, each from the submitting thread
+        assert sorted(puts) == sorted([cache_key("t", prompt, backend.backend_id, params)]
+                                      for prompt in "abc")
+        assert threads == {threading.get_ident()}
+        assert replies[3] == "stored" and replies[0] == replies[2]
 
     @pytest.mark.parametrize("over_http", [False, True])
     def test_fetch_cached_returns_one_record_per_request_in_order(self, over_http, request):
@@ -465,11 +511,38 @@ class TestJudgePlumbing:
                     raise TransportError("no reply for c")
                 return f"reply to {prompt}"
 
-        cache, params = MemoryCache(), DecodingParams()
+        puts = []
+
+        class CountingCache(MemoryCache):
+            def put_many(self, items):
+                items = list(items)
+                puts.append([key for key, _ in items])
+                return super().put_many(items)
+
+        cache, params = CountingCache(), DecodingParams()
         with pytest.raises(TransportError, match="no reply for c"):
             judge_generate_many(FailsOnC(), [("t", p) for p in "abcd"], params, cache)
         assert [cache.get(cache_key("t", p, "fails-on-c", params)) is not None
                 for p in "abcd"] == [True, True, False, False]
+        assert puts == [[cache_key("t", p, "fails-on-c", params) for p in "ab"]]
+
+    def test_failed_store_after_a_failed_call_raises_the_store_error(self):
+        class FailsOnB:
+            backend_id = "fails-on-b"
+
+            def generate(self, prompt, params):
+                if prompt == "b":
+                    raise TransportError("no reply for b")
+                return f"reply to {prompt}"
+
+        class Unwritable(MemoryCache):
+            def put_many(self, items):
+                raise OSError("cache c: disk I/O error")
+
+        with pytest.raises(OSError, match="disk I/O error") as err:
+            judge_generate_many(FailsOnB(), [("t", p) for p in "abc"], DecodingParams(),
+                                Unwritable())
+        assert isinstance(err.value.__context__, TransportError)  # the call failed first
 
     def test_generate_many_starts_no_call_after_a_failure(self, judge_server):
         def respond(prompt):

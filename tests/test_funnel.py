@@ -5,8 +5,10 @@ import importlib.util
 import itertools
 import json
 import random
+import sqlite3
 import string
 import sys
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,7 @@ from conftest import (
     ref_tokenize,
 )
 
-from claimkit.backends import DecodingParams, MemoryCache, embed
+from claimkit.backends import DecodingParams, DiskCache, MemoryCache, embed
 from claimkit.corpus import (
     STOPWORDS,
     ClaimRecord,
@@ -981,6 +983,45 @@ class TestRunFunnel:
         first, _ = run_funnel(config)
         second, _ = run_funnel(config)
         assert [r.id for r in first] == [r.id for r in second]
+
+    def test_each_fetch_stores_its_misses_in_one_put_many(self, tmp_path):
+        # Only `fetch_cached` calls the cache: one `get_many` per fetch, then
+        # at most one `put_many`, of every miss, on a cold run and none on a
+        # warm one. The rows are those of a cache that stores row by row.
+        fetches = []  # per fetch, the row count of each put_many
+
+        class Counting(DiskCache):
+            def get_many(self, keys):
+                fetches.append([])
+                return super().get_many(keys)
+
+            def put_many(self, items):
+                items = list(items)
+                fetches[-1].append(len(items))
+                return super().put_many(items)
+
+        class RowByRow(DiskCache):
+            def put_many(self, items):
+                stored = {}
+                for item in items:
+                    stored.update(super().put_many([item]))
+                return stored
+
+        def rows(config):
+            with closing(sqlite3.connect(Path(config.cache_dir) / DiskCache.FILE_NAME)) as db:
+                return sorted(db.execute("SELECT key, blob FROM responses"))
+
+        config = self._config(tmp_path)
+        cold, _ = run_funnel(config, open_cache=Counting)
+        assert all(len(puts) <= 1 and 0 not in puts for puts in fetches)
+        assert sum(map(sum, fetches)) == len(rows(config)) > 0
+        fetches.clear()
+        warm, _ = run_funnel(config, open_cache=Counting)
+        assert fetches and not any(fetches) and warm == cold
+        (tmp_path / "rows").mkdir()
+        row_by_row = self._config(tmp_path / "rows")
+        assert run_funnel(row_by_row, open_cache=RowByRow)[0] == cold
+        assert rows(row_by_row) == rows(config)
 
     # (name looked up in claimkit.funnel.run, report name of its stage)
     @pytest.mark.parametrize("attr, stage", [
