@@ -772,56 +772,52 @@ class TestMalformedInput:
         assert len(err) == 1 and err[0].startswith("error: ")
 
     @pytest.mark.parametrize("case, code, line", [
-        pytest.param(*case, id=case[0]) for case in [
-            ("threshold not a number", 1,
-             "error: config threshold 'min_passages' must be a number"),
-            ("threshold a bool", 1, "error: config threshold 'min_entities' must be a number"),
-            ("budget not integral", 1,
-             "error: config budget, seed and max_tokens must be integers"),
-            ("seed a string", 1, "error: config budget, seed and max_tokens must be integers"),
-            ("holdout claim not a string", 2,
-             "error: {tmp}/bad-claims.jsonl line 4: claim must be a non-empty string"),
-            ("gold claim not a string", 2,
-             "error: {tmp}/bad-claims.jsonl line 4: claim must be a non-empty string"),
-            ("funnel holdout claim not a string", 2,
-             "error: {tmp}/bad-claims.jsonl line 4: claim must be a non-empty string"),
-            # a misspelt key would otherwise skip decontamination or the HTTP embedder
-            ("unknown config key", 1, "error: unknown config key 'holdout'"),
-            ("unknown backend", 1, "error: unknown backend 'embeding'"),
-            ("ner spec not the built-in counter", 1,
-             "error: unsupported entity-counter spec 'http://127.0.0.1:9/never'"),
-            ("pred not a verdict label", 2,
-             "error: {tmp}/p.jsonl line 3: not a 2-way verdict label: 'maybe'"),
-            # A bad byte is charged to its own line, not to the line being read
-            # when the decoder met it.
-            ("claims not UTF-8", 2, "error: {tmp}/bad-claims.jsonl line 4: not UTF-8: "
-             f"{NOT_UTF8} 11: invalid continuation byte"),
-            ("traces not UTF-8", 2, "error: {tmp}/traces.jsonl line 2: not UTF-8: "
-             f"{NOT_UTF8} 11: invalid continuation byte"),
-            ("predictions not UTF-8", 2, "error: {tmp}/p.jsonl line 2: not UTF-8: "
-             f"{NOT_UTF8} 11: invalid continuation byte"),
-            ("fixture not UTF-8", 2, "error: {tmp}/fx.jsonl line 1: not UTF-8: "
-             f"{NOT_UTF8} 15: invalid continuation byte"),
-            ("funnel input not UTF-8", 2, "error: {tmp}/bad-claims.jsonl line 4: not UTF-8: "
-             f"{NOT_UTF8} 11: invalid continuation byte"),
-            ("unknown trace id", 2,
-             "error: {tmp}/traces.jsonl line 2: id 'ghost' is not in {claims}"),
-            ("unknown prediction id", 2,
-             "error: {tmp}/p.jsonl line 3: id 'ghost' is not in {claims}"),
-            ("config not JSON", 1,
-             "error: {tmp}/cfg.json: Expecting value: line 1 column 26 (char 25)"),
-            ("config not UTF-8", 1,
-             f"error: {{tmp}}/cfg.json: {NOT_UTF8} 30: invalid continuation byte"),
-            ("report not JSON", 1,
-             "error: {tmp}/r.json: Expecting value: line 1 column 12 (char 11)"),
-            ("report not UTF-8", 1,
-             f"error: {{tmp}}/r.json: {NOT_UTF8} 25: invalid continuation byte"),
-            # A JSON escape of a lone surrogate parses, but no UTF-8 text holds it.
-            ("config unpaired surrogate escape", 1,
-             "error: {tmp}/cfg.json: not UTF-8: unpaired surrogate escape \\ud800"),
-            ("report unpaired surrogate escape", 1,
-             "error: {tmp}/r.json: not UTF-8: unpaired surrogate escape \\ud800"),
-        ]])
+        ("threshold not a number", 1, "error: config threshold 'min_passages' must be a number"),
+        ("threshold a bool", 1, "error: config threshold 'min_entities' must be a number"),
+        ("budget not integral", 1, "error: config budget, seed and max_tokens must be integers"),
+        ("seed a string", 1, "error: config budget, seed and max_tokens must be integers"),
+        ("holdout claim not a string", 2,
+         "error: {tmp}/bad-claims.jsonl line 4: claim must be a non-empty string"),
+        ("gold claim not a string", 2,
+         "error: {tmp}/bad-claims.jsonl line 4: claim must be a non-empty string"),
+        ("funnel holdout claim not a string", 2,
+         "error: {tmp}/bad-claims.jsonl line 4: claim must be a non-empty string"),
+        # a misspelt key would otherwise skip decontamination or the HTTP embedder
+        ("unknown config key", 1, "error: unknown config key 'holdout'"),
+        ("unknown backend", 1, "error: unknown backend 'embeding'"),
+        ("ner spec not the built-in counter", 1,
+         "error: unsupported entity-counter spec 'http://127.0.0.1:9/never'"),
+        ("pred not a verdict label", 2,
+         "error: {tmp}/p.jsonl line 3: not a 2-way verdict label: 'maybe'"),
+        # A bad byte is charged to its own line, not to the line being read
+        # when the decoder met it.
+        ("claims not UTF-8", 2, "error: {tmp}/bad-claims.jsonl line 4: not UTF-8: "
+         f"{NOT_UTF8} 11: invalid continuation byte"),
+        ("traces not UTF-8", 2, "error: {tmp}/traces.jsonl line 2: not UTF-8: "
+         f"{NOT_UTF8} 11: invalid continuation byte"),
+        ("predictions not UTF-8", 2, "error: {tmp}/p.jsonl line 2: not UTF-8: "
+         f"{NOT_UTF8} 11: invalid continuation byte"),
+        ("fixture not UTF-8", 2, "error: {tmp}/fx.jsonl line 1: not UTF-8: "
+         f"{NOT_UTF8} 15: invalid continuation byte"),
+        ("funnel input not UTF-8", 2, "error: {tmp}/bad-claims.jsonl line 4: not UTF-8: "
+         f"{NOT_UTF8} 11: invalid continuation byte"),
+        ("unknown trace id", 2,
+         "error: {tmp}/traces.jsonl line 2: id 'ghost' is not in {claims}"),
+        ("unknown prediction id", 2,
+         "error: {tmp}/p.jsonl line 3: id 'ghost' is not in {claims}"),
+        ("config not JSON", 1,
+         "error: {tmp}/cfg.json: Expecting value: line 1 column 26 (char 25)"),
+        ("config not UTF-8", 1,
+         f"error: {{tmp}}/cfg.json: {NOT_UTF8} 30: invalid continuation byte"),
+        ("report not JSON", 1, "error: {tmp}/r.json: Expecting value: line 1 column 12 (char 11)"),
+        ("report not UTF-8", 1,
+         f"error: {{tmp}}/r.json: {NOT_UTF8} 25: invalid continuation byte"),
+        # A JSON escape of a lone surrogate parses, but no UTF-8 text holds it.
+        ("config unpaired surrogate escape", 1,
+         "error: {tmp}/cfg.json: not UTF-8: unpaired surrogate escape \\ud800"),
+        ("report unpaired surrogate escape", 1,
+         "error: {tmp}/r.json: not UTF-8: unpaired surrogate escape \\ud800"),
+    ])
     def test_error_line_names_the_fault(self, tmp_path, corpus_files, capsys, case, code, line):
         # Config values are checked before any stage runs, and an input
         # error names the file, which matters for commands that read two.
