@@ -139,8 +139,8 @@ class TestReadJsonl:
         assert list(read_jsonl(path)) == [(1, {"a": 1}), (3, {"a": "é"}), (4, {"a": 3})]
 
     @pytest.mark.parametrize("line, message", [
-        ("[1]", "line is not a JSON object"),
-        ("{", "invalid JSON: Expecting property name"),
+        pytest.param("[1]", "line is not a JSON object", id="not-an-object"),
+        pytest.param("{", "invalid JSON: Expecting property name", id="invalid-json"),
     ])
     def test_malformed_line_names_the_file_and_line(self, tmp_path, line, message):
         path = tmp_path / "rows.jsonl"

@@ -1128,16 +1128,20 @@ class TestRunFunnel:
         assert str(err.value) == message
 
     @pytest.mark.parametrize("build, message", [
-        (lambda: FunnelConfig(inputs=["c.jsonl"], holdouts=[], budget=10,
-                              thresholds={"min_passages": 3}),
-         "config thresholds must be a RuleThresholds (in JSON, an object)"),
-        (lambda: RuleThresholds(min_passages="3"),
-         "config threshold 'min_passages' must be a number"),
-        (lambda: RuleThresholds(max_lexical_overlap=None),
-         "config threshold 'max_lexical_overlap' must be a number"),
-        (lambda: FunnelConfig(inputs=["c.jsonl"], holdouts=[], budget=10,
-                              backends={1: "mock", "judge": "mock", "x": "mock"}),
-         "unknown backend 1"),
+        pytest.param(lambda: FunnelConfig(inputs=["c.jsonl"], holdouts=[], budget=10,
+                                          thresholds={"min_passages": 3}),
+                     "config thresholds must be a RuleThresholds (in JSON, an object)",
+                     id="thresholds-dict"),
+        pytest.param(lambda: RuleThresholds(min_passages="3"),
+                     "config threshold 'min_passages' must be a number",
+                     id="threshold-string"),
+        pytest.param(lambda: RuleThresholds(max_lexical_overlap=None),
+                     "config threshold 'max_lexical_overlap' must be a number",
+                     id="threshold-none"),
+        pytest.param(lambda: FunnelConfig(inputs=["c.jsonl"], holdouts=[], budget=10,
+                                          backends={1: "mock", "judge": "mock", "x": "mock"}),
+                     "unknown backend 1",
+                     id="backend-name-not-string"),
     ])
     def test_code_only_config_faults_fail_when_built(self, build, message):
         # A dict where a RuleThresholds belongs, or a string threshold, used
