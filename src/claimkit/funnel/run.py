@@ -240,10 +240,17 @@ def run_funnel(config: FunnelConfig, open_cache: Callable[[str], DiskCache] = Di
         except ValueError as exc:
             raise StageError("decontaminate", str(exc)) from exc
 
+    # What two stages share: each claim's shingles, from dedup_minhash to
+    # decontaminate, and each record's evidence token count, from the rule
+    # gate to augment.
+    shingles_by_claim: dict[str, frozenset[str]] = {}
+    evidence_tokens: dict[str, int] = {}
+
     def decontaminate_stage(pool):
-        if not config.holdouts:
-            return list(pool), []
-        return decontaminate(pool, holdout, embedding, cache)
+        outcome = (decontaminate(pool, holdout, embedding, cache, shingles_by_claim)
+                   if config.holdouts else (list(pool), []))
+        shingles_by_claim.clear()  # no later stage reads shingles
+        return outcome
 
     def select_stage(pool):
         selected = select_stratified(pool, config.budget, config.selector, config.seed,
@@ -254,9 +261,10 @@ def run_funnel(config: FunnelConfig, open_cache: Callable[[str], DiskCache] = Di
     # Entries look each stage function up when called, so that a wrapper put
     # on this module's name (perfbench/tracing.py) sees the call.
     stages = (
-        ("rule_filter", lambda pool: rule_filter(pool, config.thresholds, cache)),
+        ("rule_filter", lambda pool: rule_filter(pool, config.thresholds, cache,
+                                                 evidence_tokens)),
         ("difficulty_filter", lambda pool: difficulty_filter(pool, verifier, cache)),
-        ("dedup_minhash", lambda pool: dedup_minhash(pool)),
+        ("dedup_minhash", lambda pool: dedup_minhash(pool, shingles_by_claim)),
         ("dedup_semantic", lambda pool: dedup_semantic(pool, embedding, cache)),
         ("decontaminate", decontaminate_stage),
         ("silver_decompose", lambda pool: silver_stage(pool, judge, cache, params)),
@@ -274,7 +282,7 @@ def run_funnel(config: FunnelConfig, open_cache: Callable[[str], DiskCache] = Di
             previous, pool = pool, kept
 
     # Augmentation draws from the pool as it was before selection.
-    final = long_evidence_augment(previous, pool)
+    final = long_evidence_augment(previous, pool, evidence_tokens)
     report.add("augment", len(pool), len(final))
     report.validate_chain()
     return final, report

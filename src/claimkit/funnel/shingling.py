@@ -1,10 +1,13 @@
 """Word shingles, exact Jaccard, and seeded 128-permutation MinHash.
 
-Shingles are 3-word windows over the corpus tokenizer, lowercased; texts
-shorter than 3 tokens contribute a singleton shingle of the whole text so
-every record hashes to something. MinHash signatures estimate Jaccard as
-the fraction of agreeing positions. They are kept as the paper's estimator;
-the funnel's dedup uses the exact join in `dedup.py`, not MinHash.
+Shingles are the lowercased 3-word windows over the corpus tokenizer, kept
+as strings ("one two three"); texts shorter than 3 tokens contribute a
+singleton shingle of the whole text so every record has one. Jaccard over
+them is exact. MinHash signatures hash each shingle to 64 bits with
+`hash64` and estimate Jaccard as the fraction of agreeing positions; those
+hashes are the values the shingles themselves once were, so signatures
+keep their bytes. MinHash is kept as the paper's estimator; the funnel's
+dedup uses the exact join in `dedup.py`, not MinHash.
 """
 
 from __future__ import annotations
@@ -25,18 +28,19 @@ def hash64(text: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-def shingle_set(text: str) -> frozenset[int]:
-    """Hashed 3-word shingles of the text; singleton fallback below 3 tokens."""
-    tokens = [t.lower() for t in tokenize(text)]
+def shingle_set(text: str) -> frozenset[str]:
+    """The text's lowercased 3-word shingles, each its words joined by one
+    space; below 3 tokens, the singleton of all its tokens so joined.
+
+    The text is lowercased before it is tokenized, which gives the tokens
+    that lowercasing each token would (see `corpus.token_set`)."""
+    tokens = tokenize(text.lower())
     if len(tokens) < SHINGLE_WIDTH:
-        return frozenset({hash64(" ".join(tokens))})
-    return frozenset(
-        hash64(" ".join(tokens[i:i + SHINGLE_WIDTH]))
-        for i in range(len(tokens) - SHINGLE_WIDTH + 1)
-    )
+        return frozenset({" ".join(tokens)})
+    return frozenset(map(" ".join, zip(*(tokens[i:] for i in range(SHINGLE_WIDTH)))))
 
 
-def exact_jaccard(a: frozenset[int], b: frozenset[int]) -> float:
+def exact_jaccard(a: frozenset, b: frozenset) -> float:
     if not a and not b:
         return 0.0
     return len(a & b) / len(a | b)
@@ -50,10 +54,12 @@ class MinHasher:
         self._a = rng.integers(1, _MERSENNE_PRIME, size=NUM_PERMUTATIONS, dtype=np.uint64)
         self._b = rng.integers(0, _MERSENNE_PRIME, size=NUM_PERMUTATIONS, dtype=np.uint64)
 
-    def signature(self, shingles: frozenset[int]) -> np.ndarray:
+    def signature(self, shingles: frozenset[str]) -> np.ndarray:
+        """Each permutation's minimum over the shingles' `hash64` values: the
+        signature that hashed shingles gave, byte for byte."""
         if not shingles:
             raise ValueError("cannot sign an empty shingle set")
-        xs = np.fromiter(shingles, dtype=np.uint64, count=len(shingles))
+        xs = np.fromiter(map(hash64, shingles), dtype=np.uint64, count=len(shingles))
         # object dtype keeps the 61-bit modular arithmetic exact
         prods = (self._a.astype(object)[:, None] * xs.astype(object)[None, :]
                  + self._b.astype(object)[:, None]) % _MERSENNE_PRIME

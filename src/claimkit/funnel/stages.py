@@ -4,7 +4,7 @@ and the long-evidence augmentation pass."""
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ..backends import (
     Cache,
@@ -23,7 +23,7 @@ from ..backends import (
 from ..backends.transport import fetch_cached
 # Unused here, but perfbench/tracing.py wraps these module-level names.
 from ..backends import difficulty_score, judge_generate  # noqa: F401
-from ..corpus import ClaimRecord, content_overlap, count_tokens, entity_count, token_set
+from ..corpus import ClaimRecord, content_overlap, entity_count, token_set
 
 DIFFICULTY_BAND = (0.3, 0.8)
 LONG_EVIDENCE_TOKENS = 3000
@@ -131,13 +131,18 @@ def rule_filter(
     records: Sequence[ClaimRecord],
     thresholds: RuleThresholds,
     cache: Cache,
+    evidence_tokens: dict[str, int] | None = None,
 ) -> tuple[list[ClaimRecord], list[tuple[ClaimRecord, str]]]:
     """Keep the records that pass every rule gate; reject the others with
     their first failing rule. Token bounds apply to the concatenated
     evidence, the text later stages decompose against. The stats come
     through `rule_stats`, and the thresholds are applied after the read, so
-    they stay out of its keys."""
+    they stay out of its keys. A given `evidence_tokens` dict gains each
+    record's id -> evidence token count, for `long_evidence_augment`."""
     stats = rule_stats(records, cache)
+    if evidence_tokens is not None:
+        evidence_tokens.update((rec.id, row["evidence_tokens"])
+                               for rec, row in zip(records, stats))
     return _partition((rec, _first_violation(len(rec.evidence), row, thresholds))
                       for rec, row in zip(records, stats))
 
@@ -187,12 +192,15 @@ def silver_stage(
 def long_evidence_augment(
     pool: Sequence[ClaimRecord],
     selected: Sequence[ClaimRecord],
+    evidence_tokens: Mapping[str, int],
 ) -> list[ClaimRecord]:
-    """Append every unselected pool record with >= LONG_EVIDENCE_TOKENS evidence tokens."""
+    """Append every unselected pool record with >= LONG_EVIDENCE_TOKENS evidence
+    tokens. The counts, by record id, are the rule gate's: `rule_filter`
+    fills `evidence_tokens` from `rule_stats`, so no evidence is tokenized here."""
     out = list(selected)
     have = {rec.id for rec in selected}
     for rec in pool:
-        if rec.id not in have and count_tokens(rec.evidence_text()) >= LONG_EVIDENCE_TOKENS:
+        if rec.id not in have and evidence_tokens[rec.id] >= LONG_EVIDENCE_TOKENS:
             out.append(rec)
             have.add(rec.id)
     return out

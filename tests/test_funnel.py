@@ -1,6 +1,7 @@
 """Curation funnel: shingling, dedup, budgets, selection, stages, end-to-end."""
 
 import functools
+import hashlib
 import importlib.util
 import itertools
 import json
@@ -8,6 +9,7 @@ import random
 import sqlite3
 import string
 import sys
+from collections import Counter
 from contextlib import closing
 from pathlib import Path
 
@@ -57,6 +59,7 @@ from claimkit.funnel import (
     silver_stage,
     stage_seed,
 )
+from claimkit.funnel import run as funnel_run
 from claimkit.funnel import select, stages
 from claimkit.funnel.stages import RULE_STATS_NAMESPACE, rule_stats
 from claimkit.mock import HashEmbeddingBackend, HashJudgeBackend
@@ -88,6 +91,19 @@ class TestShingling:
 
     def test_case_insensitive(self):
         assert shingle_set("One Two Three") == shingle_set("one two three")
+
+    def test_shingles_are_the_lowercased_word_windows(self):
+        assert shingle_set("One two, three four") == {"one two three", "two three four"}
+        assert shingle_set("hi there") == {"hi there"}
+
+    def test_signature_values_are_pinned(self):
+        # A signature signs each shingle's hash64 value: the value the
+        # shingle itself was when shingles were stored hashed.
+        sig = MinHasher(seed=5).signature(shingle_set("alpha beta gamma delta"))
+        assert sig[:3].tolist() == [1935840893830253017, 591350415106173700,
+                                    881982575335978476]
+        assert hashlib.sha256(sig.astype("<u8").tobytes()).hexdigest() == (
+            "1ab89680abcdd6d1633062e21ebaa6152002585cdde27e31ac67e06dd4579d9a")
 
     def test_signature_shape_and_determinism(self):
         hasher = MinHasher(seed=5)
@@ -699,10 +715,15 @@ class TestStages:
         long_rec = rec("long", "c1", evidence=["word " * 3500])
         short_rec = rec("short", "c2", evidence=["word " * 100])
         picked = rec("sel", "c3", evidence=["word " * 3500])
-        out = long_evidence_augment([long_rec, short_rec, picked], [picked])
+        # the counts augment reads are those the rule gate hands over
+        evidence_tokens = {}
+        rule_filter([long_rec, short_rec, picked], RuleThresholds(), MemoryCache(),
+                    evidence_tokens)
+        assert evidence_tokens == {"long": 3500, "short": 100, "sel": 3500}
+        out = long_evidence_augment([long_rec, short_rec, picked], [picked], evidence_tokens)
         assert [r.id for r in out] == ["sel", "long"]
         # superset of the selection, no duplicates
-        out2 = long_evidence_augment([picked], [picked])
+        out2 = long_evidence_augment([picked], [picked], evidence_tokens)
         assert [r.id for r in out2] == ["sel"]
 
 
@@ -977,6 +998,36 @@ class TestRunFunnel:
         assert set(report.stages[0].rejections) == {
             "too-few-passages", "too-short", "too-long",
             "high-overlap", "too-few-entities"}
+
+    def test_warm_run_tokenizes_no_evidence_and_shingles_each_claim_once(
+            self, tmp_path, monkeypatch):
+        # Counts, not timings: a warm run reads the rule counts from the
+        # cache and hands the evidence counts on to augment, and the two
+        # shingle stages share one set per claim text.
+        config = self._config(tmp_path)
+        run_funnel(config)
+        calls = {name: Counter() for name in ("count_tokens", "token_set", "shingle_set")}
+
+        def counting(name, fn):
+            def wrapper(text, *args):
+                calls[name][text] += 1
+                return fn(text, *args)
+            return wrapper
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("claimkit")]:
+            for name in calls:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        dedup_input = []
+        real_dedup = funnel_run.dedup_minhash
+        monkeypatch.setattr(funnel_run, "dedup_minhash",
+                            lambda pool, *args: real_dedup(dedup_input.extend(pool) or pool, *args))
+        run_funnel(config)
+
+        assert not calls["count_tokens"] and not calls["token_set"]
+        claims = {r.claim for r in dedup_input + _funnel_corpus()[1]}
+        shingled = calls["shingle_set"]
+        assert shingled and set(shingled) <= claims and max(shingled.values()) == 1
 
     def test_deterministic_across_runs(self, tmp_path):
         config = self._config(tmp_path)
